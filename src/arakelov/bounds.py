@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
+from .arith import next_prime, prime_range, require_prime
 from .heights import HALF_LOG2
 from .quadrature import QuadratureResult, adaptive_gauss_legendre
 
@@ -29,8 +29,7 @@ class PlaceSet:
         if ps != self.primes:
             object.__setattr__(self, "primes", ps)
         for p in self.primes:
-            if not sympy.isprime(p):
-                raise ValueError(f"{p} is not prime")
+            require_prime(p)
 
     @classmethod
     def parse(cls, text: str) -> "PlaceSet":
@@ -68,8 +67,7 @@ class BoundResult:
 
 def nonarch_term(p: int) -> float:
     """The sharp energy constant p*log(p)/(p^2 - 1) at a finite place."""
-    if not sympy.isprime(p):
-        raise ValueError(f"{p} is not prime")
+    require_prime(p)
     return p * math.log(p) / (p * p - 1)
 
 
@@ -116,7 +114,7 @@ def single_place_beaters() -> tuple[int, ...]:
             beaters.append(p)
         elif p >= 3:
             return tuple(beaters)
-        p = int(sympy.nextprime(p))
+        p = next_prime(p)
 
 
 @dataclass(frozen=True)
@@ -148,12 +146,12 @@ def count_beating_pairs() -> PairCensus:
     cutoff = 17
     q = 17
     while True:
-        q = int(sympy.nextprime(q))
+        q = next_prime(q)
         if nonarch_term(q) > residual:
             cutoff = q
         else:
             break
-    primes = [int(p) for p in sympy.primerange(17, cutoff + 1)]
+    primes = prime_range(17, cutoff + 1)
     pairs = []
     for i, p in enumerate(primes):
         tp = nonarch_term(p)

@@ -382,7 +382,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (QuadratureError, RootFindingError) as exc:
+    except (QuadratureError, RootFindingError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-import sympy
-
+from .arith import factor_positive, require_prime
 from .padic import valuation
 from .polynomials import (AlgebraicPoint, PrimitivePolynomial, discriminant,
                           is_cyclotomic)
@@ -36,9 +34,7 @@ class Place:
 
     @classmethod
     def finite(cls, p: int) -> "Place":
-        if p < 2 or not sympy.isprime(p):
-            raise ValueError(f"{p} is not prime")
-        return cls(int(p))
+        return cls(require_prime(p))
 
     @property
     def is_archimedean(self) -> bool:
@@ -88,29 +84,6 @@ def chordal_distance(x: tuple[complex, complex], y: tuple[complex, complex]) -> 
     if nx == 0.0 or ny == 0.0:
         raise ValueError("(0:0) is not a projective point")
     return min(1.0, abs(x0 * y1 - y0 * x1) / (nx * ny))
-
-
-@lru_cache(maxsize=1)
-def _small_primes() -> tuple[int, ...]:
-    return tuple(int(p) for p in sympy.primerange(2, 10000))
-
-
-def _factor_positive(n: int) -> dict[int, int]:
-    """Factor n >= 1; trial division first, sympy only for a hard cofactor."""
-    out: dict[int, int] = {}
-    for p in _small_primes():
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        if sympy.isprime(n):
-            out[n] = out.get(n, 0) + 1
-        else:
-            for p, e in sympy.factorint(n).items():
-                out[int(p)] = out.get(int(p), 0) + int(e)
-    return out
 
 
 def _as_point(point) -> AlgebraicPoint:
@@ -226,7 +199,7 @@ def height_report(point, tol: float = DEFAULT_TOL,
     entries = [arch]
     if itemize_finite:
         finite_total = 0.0
-        factorization = _factor_positive(disc)
+        factorization = factor_positive(disc)
         for p in sorted(factorization):
             v = factorization[p]
             e = LocalEnergy(Place.finite(p), v * math.log(p) * scale,

@@ -4,15 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
+from .arith import fp_eval, fp_roots, require_prime
 from .polynomials import PrimitivePolynomial
-
-
-def require_prime(p: int) -> int:
-    if p < 2 or not sympy.isprime(p):
-        raise ValueError(f"{p} is not prime")
-    return p
 
 
 def valuation(n: int, p: int) -> int:
@@ -55,7 +48,7 @@ def newton_polygon(f: PrimitivePolynomial, p: int) -> NewtonPolygonResult:
     Requires a nonzero constant term (strip the root 0 first); with a_0 = 0
     one root valuation would be infinite.
     """
-    require_prime(p)
+    p = require_prime(p)
     if f.coeffs[0] == 0:
         raise ValueError("newton_polygon requires a nonzero constant term")
     pts = [(i, valuation(c, p)) for i, c in enumerate(f.coeffs) if c != 0]
@@ -110,7 +103,7 @@ def p_adic_root_count(f: PrimitivePolynomial, p: int,
     exclusion.  Branching beyond ``precision_exponent`` levels leaves the
     result inconclusive (a lower bound on the count).
     """
-    require_prime(p)
+    p = require_prime(p)
     if precision_exponent < 1:
         raise ValueError("precision_exponent must be positive")
     coeffs = list(f.coeffs)
@@ -132,7 +125,7 @@ def p_adic_root_count(f: PrimitivePolynomial, p: int,
 
 def _count_in_zp(g: list[int], p: int, budget: int, depth: int) -> tuple[int, bool]:
     count, certified = 0, True
-    for r in _roots_mod_p(g, p):
+    for r in fp_roots(g, p):
         c, ok = _count_in_branch(g, r, p, budget, depth)
         count += c
         certified &= ok
@@ -142,9 +135,9 @@ def _count_in_zp(g: list[int], p: int, budget: int, depth: int) -> tuple[int, bo
 def _count_in_branch(g: list[int], r: int, p: int, budget: int,
                      depth: int) -> tuple[int, bool]:
     """Roots of g in the disk r + pZ_p."""
-    if _eval_mod(g, r, p) != 0:
+    if fp_eval(g, r, p) != 0:
         return 0, True
-    if _eval_mod(_deriv(g), r, p) != 0:
+    if fp_eval(_deriv(g), r, p) != 0:
         return 1, True  # simple residue root: unique lift
     if depth >= budget:
         return 0, False
@@ -154,13 +147,6 @@ def _count_in_branch(g: list[int], r: int, p: int, budget: int,
 
 def _deriv(g: list[int]) -> list[int]:
     return [k * c for k, c in enumerate(g) if k >= 1]
-
-
-def _eval_mod(g: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(g):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def _shift_and_rescale(g: list[int], r: int, p: int) -> list[int]:
@@ -173,120 +159,3 @@ def _shift_and_rescale(g: list[int], r: int, p: int) -> list[int]:
     scaled = [c * p**k for k, c in enumerate(shifted)]
     v = min(valuation(c, p) for c in scaled if c != 0)
     return [c // p**v for c in scaled]
-
-
-# ---------------------------------------------------------------------------
-# roots of a polynomial over F_p
-# ---------------------------------------------------------------------------
-
-_BRUTE_FORCE_LIMIT = 3000
-
-
-def _roots_mod_p(g: list[int], p: int) -> list[int]:
-    gp = [c % p for c in g]
-    while gp and gp[-1] == 0:
-        gp.pop()
-    if not gp:
-        raise ValueError("polynomial vanishes mod p; divide out the content first")
-    if len(gp) == 1:
-        return []
-    if p <= _BRUTE_FORCE_LIMIT:
-        return sorted(x for x in range(p) if _eval_mod(gp, x, p) == 0)
-    return sorted(_roots_mod_p_large(gp, p))
-
-
-def _roots_mod_p_large(gp: list[int], p: int) -> list[int]:
-    # gcd with x^p - x isolates the split part; then equal-degree splitting
-    # with deterministic shifts (x + c)^((p-1)/2) - 1 for c = 0, 1, 2, ...
-    xp = _pow_mod(p, gp, p)  # x^p mod g
-    while len(xp) < 2:
-        xp.append(0)
-    xp[1] = (xp[1] - 1) % p  # x^p - x
-    while len(xp) > 1 and xp[-1] == 0:
-        xp.pop()
-    split = _gcd_mod(gp, xp, p)
-    if len(split) == 1:
-        return []
-    roots: list[int] = []
-    stack = [split]
-    shift = 0
-    while stack:
-        s = stack.pop()
-        if len(s) == 2:
-            roots.append(-s[0] * pow(s[1], -1, p) % p)
-            continue
-        while True:
-            base = [shift % p, 1]
-            shift += 1
-            t = _pow_poly_mod(base, (p - 1) // 2, s, p)
-            t[0] = (t[0] - 1) % p
-            d = _gcd_mod(s, t, p)
-            if 0 < len(d) - 1 < len(s) - 1:
-                stack.append(d)
-                stack.append(_div_exact_mod(s, d, p))
-                break
-    return roots
-
-
-def _pow_mod(e: int, mod: list[int], p: int) -> list[int]:
-    """x^e reduced mod the polynomial ``mod`` over F_p."""
-    return _pow_poly_mod([0, 1], e, mod, p)
-
-
-def _pow_poly_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    b = _rem_mod(base, mod, p)
-    while e:
-        if e & 1:
-            result = _rem_mod(_mul_mod(result, b, p), mod, p)
-        b = _rem_mod(_mul_mod(b, b, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
-def _rem_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    r = [c % p for c in a]
-    inv = pow(b[-1], -1, p)
-    while len(r) >= len(b):
-        if r[-1] == 0:
-            r.pop()
-            continue
-        c = r[-1] * inv % p
-        off = len(r) - len(b)
-        for j in range(len(b)):
-            r[off + j] = (r[off + j] - c * b[j]) % p
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return r if r else [0]
-
-
-def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    while b != [0] and any(b):
-        a, b = b, _rem_mod(a, b, p)
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _div_exact_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    q = [0] * (len(a) - len(b) + 1)
-    r = [c % p for c in a]
-    inv = pow(b[-1], -1, p)
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + len(b) - 1] * inv % p
-        q[k] = c
-        if c:
-            for j in range(len(b)):
-                r[k + j] = (r[k + j] - c * b[j]) % p
-    return q

@@ -7,9 +7,12 @@ enters only downstream, in the root finder and the height sums.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+
+from .arith import euler_phi, fp_gcd, fp_resultant, fp_trim, next_prime
 
 
 class PolynomialSyntaxError(ValueError):
@@ -20,20 +23,20 @@ class NotSquarefreeError(ValueError):
     """Raised when an input polynomial has a repeated root."""
 
 
-def _content(coeffs: tuple[int, ...]) -> int:
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, c)
-    return g
+def _exact_int(c) -> int:
+    if isinstance(c, bool) or not hasattr(c, "__index__"):
+        raise ValueError(f"coefficient {c!r} is not an integer")
+    return operator.index(c)
 
 
 def normalize_coefficients(raw) -> tuple[tuple[int, ...], list[str]]:
     """Divide out the content and force a positive leading coefficient.
 
     Returns the canonical coefficient tuple together with human-readable
-    notices for every normalization actually applied.
+    notices for every normalization actually applied.  Coefficients must be
+    integers: floats and bools are rejected rather than truncated.
     """
-    coeffs = [int(c) for c in raw]
+    coeffs = [_exact_int(c) for c in raw]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
@@ -41,7 +44,7 @@ def normalize_coefficients(raw) -> tuple[tuple[int, ...], list[str]]:
     if len(coeffs) == 1:
         raise ValueError("degree-0 input: a nonzero constant has no roots")
     notices = []
-    g = _content(tuple(coeffs))
+    g = math.gcd(*coeffs)
     if g > 1:
         coeffs = [c // g for c in coeffs]
         notices.append(f"content {g} divided out")
@@ -67,7 +70,7 @@ class PrimitivePolynomial:
             raise ValueError("degree must be at least 1")
         if c[-1] <= 0:
             raise ValueError("leading coefficient must be positive")
-        if _content(c) != 1:
+        if math.gcd(*c) != 1:
             raise ValueError("coefficients must be primitive (content 1)")
         if len(c) > 2 and not _is_squarefree(c):
             raise NotSquarefreeError(f"{_format(c)} has a repeated root")
@@ -207,47 +210,12 @@ class AlgebraicPoint:
 @lru_cache(maxsize=1)
 def _crt_primes() -> tuple[int, ...]:
     # 62-bit primes; enough of them to cover discriminants of desk-scale input
-    import sympy
-
     primes = []
     p = 2**62
     while len(primes) < 400:
-        p = int(sympy.nextprime(p))
+        p = next_prime(p)
         primes.append(p)
     return tuple(primes)
-
-
-def _resultant_mod(f: list[int], g: list[int], p: int) -> int:
-    """Resultant of f and g over the field with p elements (Euclidean chain)."""
-    a = [c % p for c in f]
-    b = [c % p for c in g]
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
-    res = 1
-    while True:
-        if not b:
-            return 0
-        if len(b) == 1:
-            return res * pow(b[0], len(a) - 1, p) % p
-        # remainder of a by b
-        da, db = len(a) - 1, len(b) - 1
-        inv = pow(b[-1], -1, p)
-        r = list(a)
-        for k in range(da, db - 1, -1):
-            c = r[k] * inv % p
-            if c:
-                for j in range(db + 1):
-                    r[k - db + j] = (r[k - db + j] - c * b[j]) % p
-        del r[db:]
-        while r and r[-1] == 0:
-            r.pop()
-        dr = len(r) - 1 if r else -1
-        res = res * pow(b[-1], da - max(dr, 0), p) % p
-        if da % 2 == 1 and db % 2 == 1:
-            res = -res % p
-        a, b = b, r
 
 
 def _resultant_int(f: tuple[int, ...], g: tuple[int, ...]) -> int:
@@ -264,7 +232,7 @@ def _resultant_int(f: tuple[int, ...], g: tuple[int, ...]) -> int:
     for p in _crt_primes():
         if f[-1] % p == 0 or g[-1] % p == 0:
             continue  # leading coefficient degenerates mod p
-        r = _resultant_mod(list(f), list(g), p)
+        r = fp_resultant(fp_trim(f, p), fp_trim(g, p), p)
         # combine with existing residue
         if modulus == 1:
             modulus, residue = p, r
@@ -304,39 +272,13 @@ def _is_squarefree(coeffs: tuple[int, ...]) -> bool:
     for p in _crt_primes():
         if coeffs[-1] % p == 0:
             continue
-        if _gcd_degree_mod(coeffs, fp, p) == 0:
+        if len(fp_gcd(fp_trim(coeffs, p), fp_trim(fp, p), p)) == 1:
             return True
         checked += 1
         if checked >= 3:
             break
     res = _resultant_int(coeffs, fp)
     return res != 0
-
-
-def _gcd_degree_mod(f, g, p: int) -> int:
-    a = [c % p for c in f]
-    b = [c % p for c in g]
-    while a and a[-1] == 0:
-        a.pop()
-    while b and b[-1] == 0:
-        b.pop()
-    while b:
-        da, db = len(a) - 1, len(b) - 1
-        if da < db:
-            a, b = b, a
-            continue
-        inv = pow(b[-1], -1, p)
-        r = list(a)
-        for k in range(da, db - 1, -1):
-            c = r[k] * inv % p
-            if c:
-                for j in range(db + 1):
-                    r[k - db + j] = (r[k - db + j] - c * b[j]) % p
-        del r[db:]
-        while r and r[-1] == 0:
-            r.pop()
-        a, b = b, r
-    return len(a) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +358,7 @@ def is_cyclotomic(f: PrimitivePolynomial) -> bool:
     for n in range(1, 2 * d * d + 7):
         if remaining == 0:
             break
-        if _euler_phi(n) > remaining:
+        if euler_phi(n) > remaining:
             continue
         q = _divides(cyclotomic_polynomial(n).coeffs, residual)
         if q is not None:
@@ -424,18 +366,3 @@ def is_cyclotomic(f: PrimitivePolynomial) -> bool:
             remaining = len(residual) - 1
     return residual == [1]
 
-
-@lru_cache(maxsize=None)
-def _euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result

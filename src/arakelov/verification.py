@@ -16,10 +16,10 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import equilibrium as eq
 from . import fekete
+from .arith import euler_phi
 from .heights import HALF_LOG2, height_report
 from .polynomials import (NotSquarefreeError, PrimitivePolynomial,
-                          cyclotomic_polynomial, normalize_coefficients,
-                          _euler_phi)
+                          cyclotomic_polynomial, normalize_coefficients)
 from .quadrature import split_singular
 
 
@@ -57,7 +57,7 @@ def random_primitive_corpus(seed: int, count: int) -> list[PrimitivePolynomial]:
 
 
 def check_cyclotomic_equality() -> CheckResult:
-    ns = [n for n in range(1, 1000) if _euler_phi(n) <= 20]
+    ns = [n for n in range(1, 1000) if euler_phi(n) <= 20]
     worst = 0.0
     for n in ns:
         h = height_report(cyclotomic_polynomial(n)).h_arakelov

@@ -1,0 +1,98 @@
+"""The exact F_p kernel and prime helpers, checked against sympy and brute force."""
+import random
+
+import pytest
+import sympy
+
+from arakelov.arith import (_split_roots, factor_positive, fp_gcd, fp_mul,
+                            fp_resultant, fp_roots, fp_trim)
+from arakelov.bounds import PlaceSet, nonarch_term
+from arakelov.heights import Place
+from arakelov.padic import newton_polygon, p_adic_root_count
+from arakelov.polynomials import _crt_primes, _is_squarefree, parse_polynomial
+
+from test_polynomials import X, random_polys
+
+P62 = _crt_primes()[0]
+
+
+def _sympy_poly(coeffs):
+    return sympy.Poly(list(reversed(coeffs)), X)
+
+
+def _brute_roots(f, p):
+    return [x for x in range(p) if sum(c * x**k for k, c in enumerate(f)) % p == 0]
+
+
+class TestResultant:
+    def test_matches_sympy_mod_p(self):
+        polys = random_polys(seed=211, count=40)
+        pairs = [(f.coeffs, f.derivative_coeffs()) for f in polys]
+        # sympy.resultant returns Res(g, f), not the Sylvester determinant
+        # Res(f, g), when deg f < deg g; compare with deg f >= deg g only
+        pairs += [(f.coeffs, g.coeffs) if f.degree >= g.degree else (g.coeffs, f.coeffs)
+                  for f, g in zip(polys, polys[1:])]
+        for f, g in pairs:
+            expected = int(sympy.resultant(_sympy_poly(f), _sympy_poly(g)))
+            for p in (P62, 1000003, 101):
+                if f[-1] % p == 0 or g[-1] % p == 0:
+                    continue  # a degree drop mod p changes the resultant
+                assert fp_resultant(fp_trim(f, p), fp_trim(g, p), p) == expected % p
+
+
+class TestGcd:
+    def test_degree_agrees_with_squarefree_verdict(self):
+        inputs = [f.coeffs for f in random_polys(seed=223, count=40, max_degree=6)]
+        # plant a repeated factor (x - a)^2 in a copy of each input
+        for f, a in zip(list(inputs), range(-20, 20)):
+            inputs.append(tuple(_sympy_poly(f).mul(sympy.Poly((X - a) ** 2, X))
+                                .all_coeffs()[::-1]))
+        squarefree = 0
+        for f in inputs:
+            if len(f) < 3:
+                continue
+            fp = [k * c for k, c in enumerate(f) if k >= 1]
+            degree = len(fp_gcd(fp_trim(f, P62), fp_trim(fp, P62), P62)) - 1
+            assert (degree == 0) == _is_squarefree(f), f
+            squarefree += degree == 0
+        assert 0 < squarefree < len(inputs) - 20
+
+
+class TestRoots:
+    def test_planted_roots_at_a_large_prime(self):
+        p = 1000003
+        n = next(n for n in range(2, p) if sympy.legendre_symbol(n, p) == -1)
+        rng = random.Random(227)
+        for _ in range(10):
+            planted = sorted(rng.sample(range(p), rng.randint(1, 6)))
+            f = [-n % p, 0, 1]  # x^2 - n has no root mod p
+            for r in planted:
+                f = fp_mul(f, [-r % p, 1], p)
+            assert fp_roots(f, p) == planted
+
+    def test_split_path_matches_brute_force_at_7(self):
+        p = 7
+        rng = random.Random(229)
+        for _ in range(300):
+            d = rng.randint(1, 8)
+            f = [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)]
+            assert sorted(_split_roots(fp_trim(f, p), p)) == _brute_roots(f, p), f
+
+
+class TestPrimes:
+    @pytest.mark.parametrize("bad", [-7, 0, 1, 4, 9])
+    def test_every_prime_check_gives_one_error(self, bad):
+        f = parse_polynomial("x^2 - 2")
+        for call in (Place.finite, nonarch_term,
+                     lambda p: PlaceSet(False, (p,)),
+                     lambda p: newton_polygon(f, p),
+                     lambda p: p_adic_root_count(f, p)):
+            with pytest.raises(ValueError, match=f"^{bad} is not prime$"):
+                call(bad)
+
+    @pytest.mark.parametrize("n", [1, 2, 720, 9973 * 9967, 10007 * 10009 * 4,
+                                   2**61 - 1, (2**31 - 1) * (2**61 - 1)])
+    def test_factor_positive(self, n):
+        factors = factor_positive(n)
+        assert all(sympy.isprime(p) for p in factors)
+        assert factors == {p: e for p, e in sympy.factorint(n).items()}

@@ -136,6 +136,19 @@ class TestOtherCommands:
         assert json.loads(text)["bound"] == pytest.approx(0.3465735903, abs=1e-9)
 
 
+class TestInputFaults:
+    @pytest.mark.parametrize("coeffs", ["[1.7, 0, 1]", "[true, 1]"])
+    def test_non_integer_coeffs_exit_2(self, capsys, coeffs):
+        assert main(["height", "--coeffs", coeffs]) == 2
+        assert "is not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", [["--sphere"], ["--interval", "1"]])
+    def test_huge_potential_argument_no_traceback(self, capsys, target):
+        code = main(["measure", *target, "--potential-at", "1e200"])
+        assert code in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_bounds_suite_passes(self, capsys):
         code, out = run_cli(capsys, "verify", "--suite", "bounds")

@@ -62,6 +62,16 @@ class TestParse:
         for f in random_polys(seed=101, count=40):
             assert parse_polynomial(str(f)).coeffs == f.coeffs
 
+    @pytest.mark.parametrize("raw", [[1.7, 0, 1], [True, 1], [-2, 0, 1.0], ["1", 1]])
+    def test_rejects_non_integer_coefficients(self, raw):
+        # truncating 1.7 to 1 would silently report a different polynomial
+        with pytest.raises(ValueError, match="is not an integer"):
+            normalize_coefficients(raw)
+
+    def test_accepts_integer_types(self):
+        raw = [np.int64(-2), 0, np.int32(1)]
+        assert normalize_coefficients(raw) == ((-2, 0, 1), [])
+
 
 class TestDiscriminant:
     def test_quadratic_formula_oracle(self):
