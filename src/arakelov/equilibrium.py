@@ -162,6 +162,13 @@ def potential(target: TargetSet, x, tol: float = 1e-8) -> QuadratureResult:
     raise TypeError(f"not a target set: {target!r}")
 
 
+def _half_log1p_sq(a: float) -> float:
+    """(1/2) log(1 + a^2) for a >= 0, also where a^2 overflows."""
+    if a > 1e150:
+        return math.log(a)  # the dropped (1/2) log1p(a^-2) is below 1e-300
+    return 0.5 * math.log1p(a ** 2)
+
+
 @lru_cache(maxsize=32)
 def _sphere_tail_moment(tol: float) -> QuadratureResult:
     # potential at infinity: integral of (1/2)log(1+rho^2) dmu = -(1/2)log u du
@@ -177,7 +184,7 @@ def _real_line_tail_moment(tol: float) -> QuadratureResult:
 def _sphere_potential(x: complex, tol: float) -> QuadratureResult:
     tail = _sphere_tail_moment(tol / 4)
     log_part = _sphere_log_part(x, tol / 2)
-    value = log_part.value + tail.value + 0.5 * math.log1p(abs(x) ** 2)
+    value = log_part.value + tail.value + _half_log1p_sq(abs(x))
     return QuadratureResult(value, log_part.est_error + tail.est_error,
                             log_part.evaluations + tail.evaluations)
 
@@ -240,7 +247,7 @@ def _interval_potential(r: float, x, tol: float) -> QuadratureResult:
     def g(psi):
         y = r * np.sin(psi)
         p = _interval_psi_density(r, psi)
-        return p * (-np.log(np.abs(z - y)) + 0.5 * math.log1p(abs(z) ** 2)
+        return p * (-np.log(np.abs(z - y)) + _half_log1p_sq(abs(z))
                     + 0.5 * np.log1p(y * y))
     return adaptive_gauss_legendre(g, -np.pi / 2, np.pi / 2, tol)
 

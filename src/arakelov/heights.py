@@ -94,18 +94,13 @@ def _as_point(point) -> AlgebraicPoint:
     raise TypeError(f"expected AlgebraicPoint or PrimitivePolynomial, got {type(point)!r}")
 
 
-def _root_data(f: PrimitivePolynomial, tol: float):
-    certified = complex_roots(f, tol)
-    return certified.roots, certified.radii
-
-
 def arch_energy_sum(f: PrimitivePolynomial, tol: float = DEFAULT_TOL) -> LocalEnergy:
     """Mean pairwise -log chordal distance over the complex root set."""
     d = f.degree
     if d < 2:
         raise ValueError("the energy sum requires degree >= 2")
-    roots, radii = _root_data(f, tol)
-    return arch_energy_sum_from_roots(roots, radii, d)
+    certified = complex_roots(f, tol)
+    return arch_energy_sum_from_roots(certified.roots, certified.radii, d)
 
 
 def nonarch_energy_sum(f: PrimitivePolynomial, p: int) -> LocalEnergy:
@@ -123,51 +118,41 @@ def nonarch_energy_sum(f: PrimitivePolynomial, p: int) -> LocalEnergy:
     return LocalEnergy(place, v * math.log(p) / (d * (d - 1)), "exact-valuation", 0.0)
 
 
-def _arch_terms(roots, radii, leading: int, d: int):
-    """Archimedean height sums plus a certified error bound."""
+def _archimedean(point, tol: float):
+    """The step every height shares: ``(poly, h_ar, h_weil, certified roots)``.
+
+    The points 0 and infinity have height 0 and no polynomial; degree 1 has
+    closed forms and no roots; degree >= 2 goes through certified roots.  The
+    finite-place contribution collapses exactly to log(leading)/degree for a
+    primitive polynomial, so only the archimedean term is numeric.
+    """
+    pt = _as_point(point)
+    if pt.is_infinity or pt.is_zero:
+        return None, 0.0, 0.0, None
+    f = pt.poly
+    if f.degree == 1:
+        a0, a1 = f.coeffs
+        return f, 0.5 * math.log(a0 * a0 + a1 * a1), math.log(max(abs(a0), a1)), None
+    certified = complex_roots(f, tol)
     ar = 0.0
     weil = 0.0
-    err = 0.0
-    for z, r in zip(roots, radii):
+    for z in certified.roots:
         a2 = z.real * z.real + z.imag * z.imag
         ar += 0.5 * math.log1p(a2)
         if a2 > 1.0:
             weil += 0.5 * math.log(a2)
-        err += 0.5 * r
-    log_lead = math.log(leading)
-    return ((ar + log_lead) / d, (weil + log_lead) / d, err / d + 1e-14)
+    log_lead = math.log(f.leading)
+    return f, (ar + log_lead) / f.degree, (weil + log_lead) / f.degree, certified
 
 
 def arakelov_height(point, tol: float = DEFAULT_TOL) -> float:
-    """Arakelov height in nats; exactly 0 for the points 0 and infinity.
-
-    The finite-place contribution collapses exactly to log(leading)/degree
-    for a primitive polynomial, so only the archimedean term is numeric.
-    """
-    pt = _as_point(point)
-    if pt.is_infinity or pt.is_zero:
-        return 0.0
-    f = pt.poly
-    if f.degree == 1:
-        a0, a1 = f.coeffs
-        return 0.5 * math.log(a0 * a0 + a1 * a1)
-    roots, radii = _root_data(f, tol)
-    h_ar, _, _ = _arch_terms(roots, radii, f.leading, f.degree)
-    return h_ar
+    """Arakelov height in nats; exactly 0 for the points 0 and infinity."""
+    return _archimedean(point, tol)[1]
 
 
 def weil_height(point, tol: float = DEFAULT_TOL) -> float:
     """Standard (sup-norm) absolute height in nats; log of the Mahler measure over d."""
-    pt = _as_point(point)
-    if pt.is_infinity or pt.is_zero:
-        return 0.0
-    f = pt.poly
-    if f.degree == 1:
-        a0, a1 = f.coeffs
-        return math.log(max(abs(a0), a1))
-    roots, radii = _root_data(f, tol)
-    _, h_weil, _ = _arch_terms(roots, radii, f.leading, f.degree)
-    return h_weil
+    return _archimedean(point, tol)[2]
 
 
 def height_report(point, tol: float = DEFAULT_TOL,
@@ -180,20 +165,15 @@ def height_report(point, tol: float = DEFAULT_TOL,
     residual is the same up to float associativity, which is useful when
     scanning large corpora.
     """
-    pt = _as_point(point)
-    if pt.is_infinity or pt.is_zero:
+    f, h_ar, h_weil, certified = _archimedean(point, tol)
+    if f is None:
         return HeightReport(0.0, 0.0, (), None, ())
-    f = pt.poly
-    d = f.degree
-    if d == 1:
-        a0, a1 = f.coeffs
+    if certified is None:
         flags = ("root-of-unity",) if is_cyclotomic(f) else ()
-        return HeightReport(0.5 * math.log(a0 * a0 + a1 * a1),
-                            math.log(max(abs(a0), a1)), (), None, flags)
+        return HeightReport(h_ar, h_weil, (), None, flags)
 
-    roots, radii = _root_data(f, tol)
-    h_ar, h_weil, h_err = _arch_terms(roots, radii, f.leading, d)
-    arch = arch_energy_sum_from_roots(roots, radii, d)
+    d = f.degree
+    arch = arch_energy_sum_from_roots(certified.roots, certified.radii, d)
     disc = abs(discriminant(f))
     scale = 1.0 / (d * (d - 1))
     entries = [arch]

@@ -260,11 +260,22 @@ def check_energy_limits(seed: int = 0) -> CheckResult:
 # suite runner
 # ---------------------------------------------------------------------------
 
+def _unseeded(check):
+    return lambda seed, corpus_size: check()
+
+
+def _seed_only(check):
+    return lambda seed, corpus_size: check(seed)
+
+
+# suite name -> its checks in run order, each called as check(seed, corpus_size)
 SUITES = {
-    "heights": ("cyclotomic-equality", "lower-bound-corpus", "decomposition-identity"),
-    "measures": ("sphere", "real-line", "interval"),
-    "bounds": ("worked-examples", "prime-censuses"),
-    "fekete": ("real-line-optima", "energy-limits"),
+    "heights": (_unseeded(check_cyclotomic_equality), check_lower_bound_corpus,
+                check_decomposition_identity),
+    "measures": (_unseeded(check_sphere_measure), _unseeded(check_real_line_measure),
+                 _unseeded(check_interval_measures)),
+    "bounds": (_unseeded(check_worked_examples), _unseeded(check_prime_censuses)),
+    "fekete": (_seed_only(check_real_line_optima), _seed_only(check_energy_limits)),
 }
 
 
@@ -275,20 +286,4 @@ def run_suite(suite: str, seed: int = 0, corpus_size: int = 10000) -> list[Check
     if unknown:
         raise ValueError(f"unknown suite {unknown[0]!r}; "
                          f"choose from all, {', '.join(SUITES)}")
-    results: list[CheckResult] = []
-    for name in names:
-        if name == "heights":
-            results.append(check_cyclotomic_equality())
-            results.append(check_lower_bound_corpus(seed, corpus_size))
-            results.append(check_decomposition_identity(seed, corpus_size))
-        elif name == "measures":
-            results.append(check_sphere_measure())
-            results.append(check_real_line_measure())
-            results.append(check_interval_measures())
-        elif name == "bounds":
-            results.append(check_worked_examples())
-            results.append(check_prime_censuses())
-        elif name == "fekete":
-            results.append(check_real_line_optima(seed))
-            results.append(check_energy_limits(seed))
-    return results
+    return [check(seed, corpus_size) for name in names for check in SUITES[name]]

@@ -94,6 +94,17 @@ class TestOtherCommands:
         assert lines[0] == "x,density"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize("argv, column, n", [
+        (["--interval", "1", "--density-grid", "7"], "density", 7),
+        (["--sphere", "--potential-grid", "5"], "potential", 5),
+    ])
+    def test_measure_grid_json(self, capsys, argv, column, n):
+        code, out = run_cli(capsys, "measure", *argv, "--format", "json")
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == n
+        assert all(set(row) == {"x", column} for row in rows)
+
     def test_fekete(self, capsys):
         code, out = run_cli(capsys, "fekete", "--real-line", "--n", "8",
                             "--seed", "1", "--format", "json")
@@ -167,3 +178,61 @@ class TestVerifyCommand:
         first = subprocess.run(cmd, capture_output=True, check=True)
         second = subprocess.run(cmd, capture_output=True, check=True)
         assert first.stdout == second.stdout
+
+
+# command, first csv line, start of the first text line, exit code
+FORMAT_CASES = [
+    (["height", "--poly", "x^2 - 2"], "field,value", "h_arakelov = ", 0),
+    (["local", "--poly", "x^2 - 2", "--place", "2"],
+     "place,value,method,error_bound", "local 2: ", 0),
+    (["measure", "--interval", "1", "--mass"],
+     "set,action,value,est_error,evaluations", "mass of interval:1 = ", 0),
+    (["measure", "--interval", "1", "--density-grid", "5"], "x,density", "x,density", 0),
+    (["measure", "--real-line", "--potential-grid", "3"],
+     "x,potential", "x,potential", 0),
+    (["fekete", "--real-line", "--n", "8", "--seed", "1"],
+     "n,energy,iterations,converged", "energy = ", 0),
+    (["fekete", "--sphere", "--n", "24", "--budget", "2", "--restarts", "1"],
+     "n,energy,iterations,converged", "energy = ", 4),
+    (["fekete", "--real-line", "--table", "4,8"],
+     "n,energy,limit,gap", "n,energy,limit,gap", 0),
+    (["bounds", "--places", "inf,2"], "term,value", "bound = ", 0),
+    (["pairs"], "p,q,bound", "82 prime pairs beat the elementary bound", 0),
+    (["verify", "--suite", "bounds"], "PASS bounds.worked-examples: bounds print as "
+     "0.577623/0.633409/0.402359 (want 0.577623/0.633409/0.402359), "
+     "equidistribution integral = 0.481212", "PASS bounds.worked-examples: ", 0),
+]
+
+
+class TestFormatMatrix:
+    @pytest.mark.parametrize("argv, header, prefix, expected", FORMAT_CASES,
+                             ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_every_command_in_every_format(self, capsys, argv, header, prefix,
+                                           expected, fmt):
+        code, out = run_cli(capsys, *argv, "--format", fmt)
+        assert code == expected
+        assert out.endswith("\n")
+        if fmt == "json":
+            json.loads(out)
+        elif fmt == "csv":
+            assert out.splitlines()[0] == header
+        else:
+            assert out.splitlines()[0].startswith(prefix)
+
+    @pytest.mark.parametrize("argv", [
+        ["height"],
+        ["height", "--poly", "x - 1", "--point", "0"],
+        ["local", "--place", "2"],
+        ["local", "--poly", "x^2 - 2", "--coeffs", "[-2, 0, 1]", "--place", "2"],
+        ["measure", "--sphere"],
+        ["measure", "--sphere", "--energy", "--mass"],
+        ["measure", "--sphere", "--potential-at", "1", "--density-grid", "3"],
+        ["fekete", "--sphere"],
+        ["fekete", "--sphere", "--n", "4", "--table", "4,8"],
+    ], ids=" ".join)
+    def test_one_of_groups_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err

@@ -122,6 +122,15 @@ class TestPotential:
             b = potential(Sphere(), 1 / z.conjugate(), tol=1e-9).value
             assert a == pytest.approx(b, abs=1e-8)
 
+    def test_sphere_at_huge_argument(self):
+        # (1/2) log(1 + x^2) overflows x^2 here; the potential is 1/2 on all of P^1
+        assert potential(Sphere(), 1e200).value == pytest.approx(0.5, abs=1e-8)
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 4.0])
+    def test_interval_at_huge_argument_matches_infinity(self, r):
+        assert potential(Interval(r), 1e200).value == pytest.approx(
+            potential(Interval(r), INF).value, abs=1e-12)
+
 
 class TestEnergy:
     def test_sphere(self):
