@@ -344,8 +344,13 @@ def main(argv=None) -> int:
         return 3
     text = record.render(args.format)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return record.code

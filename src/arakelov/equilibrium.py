@@ -249,6 +249,9 @@ def _interval_potential(r: float, x, tol: float) -> QuadratureResult:
         p = _interval_psi_density(r, psi)
         return p * (-np.log(np.abs(z - y)) + _half_log1p_sq(abs(z))
                     + 0.5 * np.log1p(y * y))
+    if abs(z.real) <= r:
+        # near the cut the kernel is nearly singular at Re z: split there too
+        return split_singular(g, -np.pi / 2, np.pi / 2, math.asin(z.real / r), tol)
     return adaptive_gauss_legendre(g, -np.pi / 2, np.pi / 2, tol)
 
 

@@ -197,16 +197,22 @@ def height_report(point, tol: float = DEFAULT_TOL,
 
 
 def arch_energy_sum_from_roots(roots, radii, d: int) -> LocalEnergy:
-    """Archimedean energy sum for an already certified root set."""
+    """Archimedean energy sum for an already certified root set.
+
+    The chordal distance of two finite roots is |z_i - z_j| / (hypot(|z_i|, 1)
+    hypot(|z_j|, 1)); each norm is taken once per root and each separation
+    once per pair.
+    """
+    norms = [math.hypot(abs(z), 1.0) for z in roots]
     total = 0.0
     err = 0.0
     for i in range(d):
+        zi, ri, ni = roots[i], radii[i], norms[i]
         for j in range(i + 1, d):
-            sep = abs(roots[i] - roots[j])
-            delta = chordal_distance((roots[i], 1.0), (roots[j], 1.0))
-            total += -2.0 * math.log(delta)
-            gap = max(sep - radii[i] - radii[j], 1e-300)
-            err += 2.0 * (radii[i] + radii[j]) * (1.0 / gap + 0.5)
+            sep = abs(zi - roots[j])
+            total += -2.0 * math.log(min(1.0, sep / (ni * norms[j])))
+            gap = max(sep - ri - radii[j], 1e-300)
+            err += 2.0 * (ri + radii[j]) * (1.0 / gap + 0.5)
     scale = 1.0 / (d * (d - 1))
     return LocalEnergy(Place.archimedean(), total * scale, "numeric-roots",
                        err * scale + 1e-14 * (1.0 + abs(total * scale)))

@@ -8,16 +8,18 @@ pairwise disjoint disks of that radius pin down all d roots, one per disk.
 """
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import mpmath as mp
-import numpy as np
 
 from .polynomials import PrimitivePolynomial
 
 _SWEEP_BUDGET = 200
 _ANGLE_OFFSET = 2.0 * math.pi * (math.sqrt(5) - 1) / 2  # irrational fraction of a turn
+_NAN = complex(math.nan, math.nan)
 
 
 class RootFindingError(RuntimeError):
@@ -56,14 +58,14 @@ def complex_roots(f: PrimitivePolynomial, tol: float = 1e-12) -> CertifiedComple
             root = math.inf
         if not math.isfinite(root):
             raise RootFindingError("root exceeds double-precision range")
-        radius = 4.0 * np.finfo(float).eps * (1.0 + abs(root))
+        radius = 4.0 * sys.float_info.epsilon * (1.0 + abs(root))
         if radius <= tol:
             return CertifiedComplexRoots((complex(root),), (radius,))
         pair = _certify(f.coeffs, [complex(root)], dps=30, steps=2)
         return _package(pair, tol)
     try:
         approx = _aberth(f.coeffs)
-    except OverflowError:  # coefficients beyond float range
+    except OverflowError:  # coefficients or iterates beyond float range
         approx = _aberth_mp(f.coeffs, dps=60)
     fast = _certify_double(f.coeffs, approx)
     if fast is not None and _accept(*fast, tol):
@@ -103,31 +105,51 @@ def _accept(centers, radii, tol) -> bool:
 
 
 def _aberth(coeffs: tuple[int, ...]) -> list[complex]:
+    """Aberth-Ehrlich in double precision: Jacobi sweeps from the Cauchy circle.
+
+    Scalar loops over Python complex values; at the degrees heights see, array
+    calls cost more in overhead than the arithmetic they do.  A division by
+    zero gives a non-finite step, which falls back to the Newton step or, if
+    that is not finite either, to a fixed nudge.  OverflowError (coefficients
+    or iterates beyond float range) propagates to the caller.
+    """
     d = len(coeffs) - 1
-    c = np.array([float(x) for x in coeffs], dtype=float) / float(coeffs[-1])
-    radius = 1.0 + float(np.max(np.abs(c[:-1])))  # Cauchy bound
-    k = np.arange(d)
-    z = radius * np.exp(1j * (2.0 * np.pi * k / d + _ANGLE_OFFSET))
+    lead = float(coeffs[-1])
+    c = [float(a) / lead for a in coeffs[:-1]]  # monic; the leading 1 is implicit
+    radius = 1.0 + max(abs(a) for a in c)  # Cauchy bound
+    z = [radius * cmath.exp(1j * (2.0 * math.pi * k / d + _ANGLE_OFFSET))
+         for k in range(d)]
+    nudge = complex(1e-3 * radius)
     for _ in range(_SWEEP_BUDGET):
-        fz = np.full(d, c[-1], dtype=complex)
-        fpz = np.zeros(d, dtype=complex)
-        for a in c[-2::-1]:
-            fpz = fpz * z + fz
-            fz = fz * z + a
-        with np.errstate(all="ignore"):
-            newton = fz / fpz
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            repulsion = np.sum(1.0 / diff, axis=1)
-            step = newton / (1.0 - newton * repulsion)
-        bad = ~np.isfinite(step)
-        if np.any(bad):
-            fallback = np.where(np.isfinite(newton), newton, 1e-3 * radius)
-            step = np.where(bad, fallback, step)
-        z = z - step
-        if np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(z))):
+        moved = False
+        new = []
+        for i, zi in enumerate(z):
+            fz = 1 + 0j
+            fpz = 0j
+            for a in reversed(c):
+                fpz = fpz * zi + fz
+                fz = fz * zi + a
+            try:
+                newton = fz / fpz
+            except ZeroDivisionError:
+                newton = _NAN
+            try:
+                repulsion = 0j
+                for j, zj in enumerate(z):
+                    if j != i:
+                        repulsion += 1.0 / (zi - zj)
+                step = newton / (1.0 - newton * repulsion)
+            except ZeroDivisionError:
+                step = _NAN
+            if not cmath.isfinite(step):
+                step = newton if cmath.isfinite(newton) else nudge
+            zi -= step
+            new.append(zi)
+            moved = moved or abs(step) > 1e-14 * abs(zi)
+        z = new
+        if not moved:
             break
-    return [complex(v) for v in z]
+    return z
 
 
 def _aberth_mp(coeffs: tuple[int, ...], dps: int) -> list[complex]:
@@ -164,27 +186,32 @@ def _certify_double(coeffs: tuple[int, ...],
     if any(abs(a) > 2 ** 53 for a in coeffs):
         return None
     d = len(coeffs) - 1
-    c = np.array([float(a) for a in coeffs])
-    z = np.array(approx, dtype=complex)
-    az = np.abs(z)
-    fz = np.full(d, c[-1], dtype=complex)
-    fpz = np.zeros(d, dtype=complex)
-    mag = np.full(d, abs(c[-1]))
-    magp = np.zeros(d)
-    for a in c[-2::-1]:
-        fpz = fpz * z + fz
-        fz = fz * z + a
-        magp = magp * az + mag
-        mag = mag * az + abs(a)
-    eps = np.finfo(float).eps
+    c = [float(a) for a in coeffs]
+    tail = c[-2::-1]
+    eps = sys.float_info.epsilon
     # running-error bound for complex Horner, with headroom over the real case
-    err_f = (4.0 * d + 4.0) * eps * mag
-    err_fp = (4.0 * d + 4.0) * eps * magp
-    denom = np.abs(fpz) - err_fp
-    if np.any(denom <= 0.0):
+    unit = (4.0 * d + 4.0) * eps
+    centers = [complex(v) for v in approx]
+    radii = []
+    try:
+        for z in centers:
+            az = abs(z)
+            fz = complex(c[-1])
+            fpz = 0j
+            mag = abs(c[-1])
+            magp = 0.0
+            for a in tail:
+                fpz = fpz * z + fz
+                fz = fz * z + a
+                magp = magp * az + mag
+                mag = mag * az + abs(a)
+            denom = abs(fpz) - unit * magp
+            if denom <= 0.0:
+                return None
+            radii.append(d * (abs(fz) + unit * mag) / denom + 4.0 * eps * (1.0 + az))
+    except OverflowError:  # |f(z)| beyond float range
         return None
-    radii = d * (np.abs(fz) + err_f) / denom + 4.0 * eps * (1.0 + az)
-    return [complex(v) for v in z], [float(r) for r in radii]
+    return centers, radii
 
 
 def _eval_pair(coeffs, z):
@@ -217,8 +244,9 @@ def _certify(coeffs: tuple[int, ...], approx, dps: int,
             else:
                 radius = float(d * abs(fz / fpz)) * (1 + 1e-9)
             zc = complex(z)
-            # slack for the mpc -> complex rounding of the center itself
-            radius += 4e-16 * (1.0 + abs(zc))
+            # slack for the mpc -> complex rounding of the center itself: a
+            # relative ulp, plus a floor for centers in the subnormal range
+            radius += 4e-16 * abs(zc) + 1e-320
             centers.append(zc)
             radii.append(radius)
     return centers, radii

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -147,6 +148,14 @@ class TestOtherCommands:
         assert json.loads(text)["bound"] == pytest.approx(0.3465735903, abs=1e-9)
 
 
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        assert main(["bounds", "--places", "inf", "--output", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+        assert not path.exists()
+
+
 class TestInputFaults:
     @pytest.mark.parametrize("coeffs", ["[1.7, 0, 1]", "[true, 1]"])
     def test_non_integer_coeffs_exit_2(self, capsys, coeffs):
@@ -158,6 +167,15 @@ class TestInputFaults:
         code = main(["measure", *target, "--potential-at", "1e200"])
         assert code in (0, 3)
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_roots_near_zero_certify(self, capsys):
+        code = main(["height", "--poly",
+                     "10000000000000000000000000000000000000000x^2 - 1",
+                     "--format", "json"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["h_arakelov"] == pytest.approx(20 * math.log(10), abs=1e-9)
+        assert report["crosscheck_residual"] <= 1e-9
 
 
 class TestVerifyCommand:

@@ -112,6 +112,16 @@ class TestPotential:
         off = potential(Interval(1.0), 0.5 + 0.5j, tol=1e-8)
         assert math.isfinite(off.value)
 
+    @pytest.mark.parametrize("r, z", [(1.0, 0.5 + 1e-9j), (2.0, -1.9 + 1e-12j),
+                                      (1.0, 0.999999 + 1e-9j)])
+    def test_interval_just_off_the_cut(self, r, z):
+        # the kernel is nearly singular at Re z; the potential is continuous
+        # there, moving off the cut by about the Green function
+        result = potential(Interval(r), z, tol=1e-8)
+        assert result.est_error <= 1e-8
+        on_cut = potential(Interval(r), z.real, tol=1e-8).value
+        assert abs(result.value - on_cut) <= 2.0 * green_interval(z, r) + 2e-8
+
     def test_tiny_interval(self):
         result = energy(Interval(0.01), tol=1e-8)
         assert result.value == pytest.approx(analytic_energy(Interval(0.01)), abs=1e-5)

@@ -160,6 +160,15 @@ class TestHeightReport:
         assert {"place", "value", "method", "error_bound"} == set(payload["locals"][0])
 
 
+class TestExtremeMagnitudes:
+    def test_roots_near_zero(self):
+        # 1e40 x^2 - 1: roots +-1e-20, so h_Ar = log(1e40) / 2 = 20 log 10
+        report = height_report(
+            parse_polynomial("10000000000000000000000000000000000000000x^2 - 1"))
+        assert report.h_arakelov == pytest.approx(20 * math.log(10), abs=1e-9)
+        assert report.crosscheck_residual <= 1e-9
+
+
 class TestInvariantsOnRandomCorpus:
     def test_lower_bound_and_equality_cases(self):
         for f in random_polys(seed=67, count=150):

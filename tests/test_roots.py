@@ -89,3 +89,15 @@ class TestCertificates:
         assert certified.max_radius() <= 1e-12
         assert close_to_set(0.0, certified.roots, 1e-12)
         assert close_to_set(1e-6, certified.roots, 1e-12)
+
+
+class TestExtremeMagnitudes:
+    def test_roots_near_zero_certify(self):
+        # roots +-1e-20: the rounding slack of a center must be relative to it
+        f = parse_polynomial("10000000000000000000000000000000000000000x^2 - 1")
+        certified = complex_roots(f, tol=1e-12)
+        assert certified.max_radius() <= 1e-12
+        for z, target in zip(certified.roots, (-1e-20, 1e-20)):
+            assert abs(z - target) <= certified.max_radius()
+        gap = abs(certified.roots[0] - certified.roots[1])
+        assert gap > certified.radii[0] + certified.radii[1]
