@@ -275,7 +275,8 @@ def energy(target: TargetSet, tol: float = 1e-8,
     gap = abs(single.value - double)
     if gap > cross_tol:
         raise QuadratureError(
-            f"energy cross-check failed: single {single.value!r} vs double {double!r}")
+            f"energy cross-check failed: single {float(single.value)!r} "
+            f"vs double {float(double)!r}")
     return QuadratureResult(single.value, max(single.est_error, gap),
                             single.evaluations + extra_evals)
 

@@ -47,9 +47,18 @@ class Place:
 
 @dataclass(frozen=True)
 class LocalEnergy:
+    """One term of the decomposition.
+
+    ``method`` is "numeric-roots" at infinity and "exact-valuation" at a
+    prime.  "unfactored-cofactor" marks the one entry for what the factoring
+    budget left of the discriminant: its ``place.prime`` is that composite m,
+    standing for all the primes dividing it, and its value is log(m) over
+    d(d-1), exactly as their entries would sum to.
+    """
+
     place: Place
     value: float
-    method: str  # "exact-valuation" | "numeric-roots"
+    method: str
     error_bound: float
 
     def to_json_dict(self) -> dict:
@@ -177,14 +186,18 @@ def height_report(point, tol: float = DEFAULT_TOL,
     disc = abs(discriminant(f))
     scale = 1.0 / (d * (d - 1))
     entries = [arch]
+    cofactor = 1
     if itemize_finite:
-        finite_total = 0.0
-        factorization = factor_positive(disc)
+        factorization, cofactor = factor_positive(disc)
         for p in sorted(factorization):
             v = factorization[p]
-            e = LocalEnergy(Place.finite(p), v * math.log(p) * scale,
-                            "exact-valuation", 0.0)
-            entries.append(e)
+            entries.append(LocalEnergy(Place.finite(p), v * math.log(p) * scale,
+                                       "exact-valuation", 0.0))
+        if cofactor > 1:
+            entries.append(LocalEnergy(Place(cofactor), math.log(cofactor) * scale,
+                                       "unfactored-cofactor", 0.0))
+        finite_total = 0.0
+        for e in entries[1:]:
             finite_total += e.value
     else:
         finite_total = math.log(disc) * scale
@@ -193,6 +206,8 @@ def height_report(point, tol: float = DEFAULT_TOL,
     if is_cyclotomic(f):
         flags.append("root-of-unity")
     flags.append("minimal-polynomial-unverified")
+    if cofactor > 1:
+        flags.append("discriminant-partially-factored")
     return HeightReport(h_ar, h_weil, tuple(entries), residual, tuple(flags))
 
 

@@ -20,6 +20,7 @@ from .polynomials import PrimitivePolynomial
 _SWEEP_BUDGET = 200
 _ANGLE_OFFSET = 2.0 * math.pi * (math.sqrt(5) - 1) / 2  # irrational fraction of a turn
 _NAN = complex(math.nan, math.nan)
+_CENTER_SLACK = 4e-16  # relative rounding of an mpc center to a complex
 
 
 class RootFindingError(RuntimeError):
@@ -79,9 +80,24 @@ def complex_roots(f: PrimitivePolynomial, tol: float = 1e-12) -> CertifiedComple
     centers, radii = _certify(f.coeffs, approx, dps=120, steps=4)
     if _accept(centers, radii, tol):
         return _package((centers, radii), tol)
+    modulus = _modulus_lower_bound(f.coeffs)
+    if _CENTER_SLACK * modulus > tol:
+        raise RootFindingError(
+            f"could not certify roots of {f} to radius {tol:g}: a root of modulus "
+            f"at least {modulus:.3g} cannot be pinned to that absolute radius by "
+            "a double-precision center")
     raise RootFindingError(
         f"could not certify roots of {f} to radius {tol:g}; "
         "the input may be ill-conditioned")
+
+
+def _modulus_lower_bound(coeffs: tuple[int, ...]) -> float:
+    """Some root has at least this modulus: |e_k| <= C(d, k) max|z|^k for each k."""
+    d = len(coeffs) - 1
+    lead = math.log(abs(coeffs[-1]))
+    log_bound = max((math.log(abs(coeffs[d - k])) - lead - math.log(math.comb(d, k))) / k
+                    for k in range(1, d + 1) if coeffs[d - k])
+    return math.exp(min(log_bound, 709.0))
 
 
 def _package(pair, tol) -> CertifiedComplexRoots:
@@ -246,7 +262,7 @@ def _certify(coeffs: tuple[int, ...], approx, dps: int,
             zc = complex(z)
             # slack for the mpc -> complex rounding of the center itself: a
             # relative ulp, plus a floor for centers in the subnormal range
-            radius += 4e-16 * abs(zc) + 1e-320
+            radius += _CENTER_SLACK * abs(zc) + 1e-320
             centers.append(zc)
             radii.append(radius)
     return centers, radii

@@ -1,11 +1,16 @@
 """The exact F_p kernel and prime helpers, checked against sympy and brute force."""
+import math
 import random
+import time
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from arakelov.arith import (_split_roots, factor_positive, fp_gcd, fp_mul,
-                            fp_resultant, fp_roots, fp_trim)
+from arakelov import arith
+from arakelov.arith import (_split_roots, euler_phi, factor_positive, fp_gcd,
+                            fp_mul, fp_resultant, fp_roots, fp_trim, prime_range)
 from arakelov.bounds import PlaceSet, nonarch_term
 from arakelov.heights import Place
 from arakelov.padic import newton_polygon, p_adic_root_count
@@ -90,9 +95,65 @@ class TestPrimes:
             with pytest.raises(ValueError, match=f"^{bad} is not prime$"):
                 call(bad)
 
+    @pytest.mark.parametrize("lo,hi", [(0, 0), (0, 3), (2, 3), (-5, 20), (17, 300),
+                                       (9990, 10010), (11001, 20000)])
+    def test_prime_range(self, lo, hi):
+        assert prime_range(lo, hi) == list(sympy.primerange(lo, hi))
+
     @pytest.mark.parametrize("n", [1, 2, 720, 9973 * 9967, 10007 * 10009 * 4,
                                    2**61 - 1, (2**31 - 1) * (2**61 - 1)])
     def test_factor_positive(self, n):
-        factors = factor_positive(n)
+        factors, cofactor = factor_positive(n)
+        assert cofactor == 1
         assert all(sympy.isprime(p) for p in factors)
         assert factors == {p: e for p, e in sympy.factorint(n).items()}
+
+
+def _factorint(n):
+    return {int(p): e for p, e in sympy.factorint(n).items()}
+
+
+_prime = st.integers(2**19, 2**50).map(lambda n: int(sympy.nextprime(n)))
+
+
+class TestFactoring:
+    """The in-module splitter against sympy.factorint as the oracle."""
+
+    # the five discriminants among the first 3000 of the itemized pool (pool
+    # seed 0) that took sympy.factorint longest, 1.1-2.6 s each; primes whose
+    # product is n are, by unique factorization, what factorint returns
+    @pytest.mark.parametrize("n", [1241646162374866624250749864996,
+                                   116085659972683497648744364,
+                                   408369216565833439492681,
+                                   310292783510828661615768,
+                                   2078311362005814116483140039])
+    def test_slowest_pool_discriminants(self, n):
+        factors, cofactor = factor_positive(n)
+        assert cofactor == 1
+        assert all(sympy.isprime(p) for p in factors)
+        assert math.prod(p ** e for p, e in factors.items()) == n
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(st.lists(_prime, min_size=2, max_size=3),
+           st.sampled_from(["distinct", "p^2 q", "p^3"]))
+    def test_products_of_20_to_50_bit_primes(self, primes, shape):
+        if shape == "p^2 q":
+            primes = [primes[0], primes[0], primes[1]]
+        elif shape == "p^3":
+            primes = [primes[0]] * 3
+        n = math.prod(primes)
+        assert factor_positive(n) == (_factorint(n), 1)
+
+    def test_budget_leaves_a_cofactor(self):
+        # two 100-bit primes: too large for rho, out of reach of the ECM budget
+        p, q = sympy.nextprime(2**99 + 12345), sympy.nextprime(2**100 - 999)
+        start = time.perf_counter()
+        assert factor_positive(4 * 9973 * p * q) == ({2: 2, 9973: 1}, p * q)
+        assert time.perf_counter() - start < 10.0
+
+    def test_euler_phi_refuses_a_cofactor(self, monkeypatch):
+        monkeypatch.setattr(arith, "_RHO_STEPS", 0)
+        monkeypatch.setattr(arith, "_ECM_SCHEDULE", ())
+        n = 1000003 * 1000033
+        with pytest.raises(ArithmeticError, match=f"could not factor {n}"):
+            euler_phi(n)

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -176,6 +177,22 @@ class TestInputFaults:
         report = json.loads(capsys.readouterr().out)
         assert report["h_arakelov"] == pytest.approx(20 * math.log(10), abs=1e-9)
         assert report["crosscheck_residual"] <= 1e-9
+
+
+class TestBudgets:
+    def test_unfactorable_discriminant_is_flagged_not_hung(self):
+        # the discriminant is a 317-bit composite the factoring budget cannot split
+        cmd = [sys.executable, "-m", "arakelov", "height", "--poly",
+               "x^30 + 5x^17 - 13x^11 + 29x^4 - 37x + 47", "--format", "json"]
+        start = time.perf_counter()
+        done = subprocess.run(cmd, capture_output=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert "discriminant-partially-factored" in report["flags"]
+        assert [e["method"] for e in report["locals"]] == ["numeric-roots",
+                                                           "unfactored-cofactor"]
+        assert elapsed <= 10.0
 
 
 class TestVerifyCommand:

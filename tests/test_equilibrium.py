@@ -9,7 +9,7 @@ from arakelov.equilibrium import (INF, Interval, RealLine, Sphere,
                                   equilibrium_measure, exterior_map,
                                   green_interval, harmonic_measure_interval,
                                   mass, potential)
-from arakelov.quadrature import tanh_sinh
+from arakelov.quadrature import QuadratureError, tanh_sinh
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -165,6 +165,11 @@ class TestEnergy:
         for r in (0.25, 4.0):
             assert energy(Interval(r), tol=1e-8).value == pytest.approx(
                 analytic_energy(Interval(r)), abs=1e-5)
+
+    def test_cross_check_refusal_prints_plain_floats(self):
+        with pytest.raises(QuadratureError,
+                           match=r"^energy cross-check failed: single 0\.69\d* vs double 0\.69\d*$"):
+            energy(Interval(16.0), tol=1e-8)
 
     def test_measure_object(self):
         measure = equilibrium_measure(Interval(2.0))

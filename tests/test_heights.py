@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from arakelov import arith
 from arakelov.heights import (HALF_LOG2, Place, arakelov_height, arch_energy_sum,
                               chordal_distance, height_report, nonarch_energy_sum,
                               weil_height)
@@ -167,6 +168,23 @@ class TestExtremeMagnitudes:
             parse_polynomial("10000000000000000000000000000000000000000x^2 - 1"))
         assert report.h_arakelov == pytest.approx(20 * math.log(10), abs=1e-9)
         assert report.crosscheck_residual <= 1e-9
+
+
+class TestFactoringBudget:
+    def test_unfactored_cofactor_is_one_exact_entry(self, monkeypatch):
+        # the discriminant of this degree-30 input is a 317-bit composite
+        monkeypatch.setattr(arith, "_ECM_SCHEDULE", ((2, 500),))
+        f = parse_polynomial("x^30 + 5x^17 - 13x^11 + 29x^4 - 37x + 47")
+        disc = abs(discriminant(f))
+        report = height_report(f)
+        assert "discriminant-partially-factored" in report.flags
+        assert [e.to_json_dict() for e in report.locals[1:]] == [
+            {"place": disc, "method": "unfactored-cofactor",
+             "value": math.log(disc) / (30 * 29), "error_bound": 0.0}]
+        assert report.crosscheck_residual <= 1e-9
+        aggregate = height_report(f, itemize_finite=False)
+        assert report.crosscheck_residual == pytest.approx(
+            aggregate.crosscheck_residual, abs=1e-15)
 
 
 class TestInvariantsOnRandomCorpus:

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from arakelov.polynomials import PrimitivePolynomial, cyclotomic_polynomial, parse_polynomial
-from arakelov.roots import complex_roots
+from arakelov.roots import RootFindingError, complex_roots
 
 from test_polynomials import random_polys
 
@@ -101,3 +101,9 @@ class TestExtremeMagnitudes:
             assert abs(z - target) <= certified.max_radius()
         gap = abs(certified.roots[0] - certified.roots[1])
         assert gap > certified.radii[0] + certified.radii[1]
+
+    def test_refusal_names_the_modulus(self):
+        # roots +-1e150: no double-precision center is within 1e-12 of them
+        f = parse_polynomial(f"x^2 - {10**300 + 3}")
+        with pytest.raises(RootFindingError, match=r"modulus at least 1e\+150"):
+            complex_roots(f, tol=1e-12)
