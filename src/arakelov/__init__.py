@@ -10,10 +10,9 @@ and evaluates the splitting lower bounds with their prime censuses.
 from .bounds import (BoundResult, PairCensus, PlaceSet, chebyshev_limit_integral,
                      count_beating_pairs, lower_bound, lower_bound_interval,
                      nonarch_term, single_place_beaters)
-from .equilibrium import (INF, EquilibriumMeasure, Interval, RealLine, Sphere,
-                          TargetSet, analytic_energy, conformal_map, density,
-                          energy, energy_via_balayage, equilibrium_measure,
-                          exterior_map, green_interval,
+from .equilibrium import (INF, Interval, RealLine, Sphere, TargetSet,
+                          analytic_energy, conformal_map, density, energy,
+                          energy_via_balayage, exterior_map, green_interval,
                           harmonic_measure_interval, mass, potential)
 from .fekete import (ConvergenceRow, PointConfiguration, convergence_table,
                      discrete_energy, equally_spaced_energy, minimize)
@@ -31,7 +30,7 @@ from .roots import CertifiedComplexRoots, RootFindingError, complex_roots
 
 __all__ = [
     "AlgebraicPoint", "BoundResult", "CertifiedComplexRoots", "ConvergenceRow",
-    "EquilibriumMeasure", "HALF_LOG2", "HeightReport", "INF", "Interval",
+    "HALF_LOG2", "HeightReport", "INF", "Interval",
     "LocalEnergy", "NewtonPolygonResult", "NotSquarefreeError", "PadicRootCount",
     "PairCensus", "Place", "PlaceSet", "PointConfiguration",
     "PolynomialSyntaxError", "PrimitivePolynomial", "QuadratureError",
@@ -41,7 +40,7 @@ __all__ = [
     "conformal_map", "convergence_table", "count_beating_pairs",
     "cyclotomic_polynomial", "density", "discrete_energy", "discriminant",
     "energy", "energy_via_balayage", "equally_spaced_energy",
-    "equilibrium_measure", "exterior_map", "green_interval",
+    "exterior_map", "green_interval",
     "harmonic_measure_interval", "height_report", "is_cyclotomic",
     "lower_bound", "lower_bound_interval", "mass", "minimize",
     "newton_polygon", "nonarch_energy_sum", "nonarch_term",

@@ -11,7 +11,8 @@ Coordinate conventions: unbounded supports are compactified with x = tan(theta)
 integrals use x = r*sin(psi), which absorbs the inverse square-root endpoint
 factor of the density.  Logarithmic kernel singularities are handled by
 splitting at the singular point and integrating each side with a tanh-sinh
-rule.
+rule; interval integrals also split at psi = 0, where the density peaks with
+width about 1/r.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import (QuadratureError, QuadratureResult,
+from .quadrature import (QuadratureError, QuadratureResult, _refine,
                          adaptive_gauss_legendre, split_singular,
                          tanh_sinh, tanh_sinh_nodes)
 
@@ -104,6 +105,13 @@ def _require_real(x) -> float:
     return z.real
 
 
+def _even_interval_integral(f, tol: float, max_doublings: int = 11) -> QuadratureResult:
+    """Integral over [-pi/2, pi/2] of an f even in psi: Gauss-Legendre on
+    [0, pi/2], doubled, so the density peak at psi = 0 is a panel endpoint."""
+    half = adaptive_gauss_legendre(f, 0.0, np.pi / 2, tol / 2, max_doublings=max_doublings)
+    return QuadratureResult(2.0 * half.value, 2.0 * half.est_error, half.evaluations)
+
+
 def _interval_psi_density(r: float, psi):
     """Interval density against d(psi) under x = r*sin(psi); smooth on [-pi/2, pi/2]."""
     s = math.sqrt(r * r + 1.0) + 1.0
@@ -132,8 +140,7 @@ def mass(target: TargetSet, tol: float = 1e-9) -> QuadratureResult:
         return adaptive_gauss_legendre(f, -np.pi / 2, np.pi / 2, tol)
     if isinstance(target, Interval):
         r = target.r
-        return adaptive_gauss_legendre(lambda psi: _interval_psi_density(r, psi),
-                                       -np.pi / 2, np.pi / 2, tol)
+        return _even_interval_integral(lambda psi: _interval_psi_density(r, psi), tol)
     raise TypeError(f"not a target set: {target!r}")
 
 
@@ -200,35 +207,33 @@ def _sphere_log_part(x: complex, tol: float) -> QuadratureResult:
     ax = abs(x)
     phi0 = math.atan2(x.imag, x.real)
     u_x = 1.0 / (1.0 + ax * ax)
-    prev = None
-    evals = 0
-    for level in range(7):
-        h = 0.5 * 2.0 ** (-level)
-        total = 0.0
-        for ulo, uhi in ((0.0, u_x), (u_x, 1.0)):
-            if uhi <= ulo:
-                continue
-            un, uw = tanh_sinh_nodes(ulo, uhi, h)
-            rho = np.sqrt(1.0 / un - 1.0)
-            for plo, phi in ((phi0 - np.pi, phi0), (phi0, phi0 + np.pi)):
-                pn, pw = tanh_sinh_nodes(plo, phi, h)
-                w = rho[:, None] * np.exp(1j * pn)[None, :]
-                kernel = -np.log(np.abs(x - w))
-                total += float(np.sum(uw[:, None] * pw[None, :] * kernel))
-                evals += un.size * pn.size
-        cur = total / (2.0 * np.pi)
-        if prev is not None and abs(cur - prev) <= tol:
-            return QuadratureResult(cur, abs(cur - prev), evals)
-        prev = cur
-    raise QuadratureError("sphere potential refinement stalled")
+
+    def levels():
+        for level in range(7):
+            h = 0.5 * 2.0 ** (-level)
+            total, evals = 0.0, 0
+            for ulo, uhi in ((0.0, u_x), (u_x, 1.0)):
+                if uhi <= ulo:
+                    continue
+                un, uw = tanh_sinh_nodes(ulo, uhi, h)
+                rho = np.sqrt(1.0 / un - 1.0)
+                for plo, phi in ((phi0 - np.pi, phi0), (phi0, phi0 + np.pi)):
+                    pn, pw = tanh_sinh_nodes(plo, phi, h)
+                    w = rho[:, None] * np.exp(1j * pn)[None, :]
+                    kernel = -np.log(np.abs(x - w))
+                    total += float(np.sum(uw[:, None] * pw[None, :] * kernel))
+                    evals += un.size * pn.size
+            yield total / (2.0 * np.pi), evals
+    return _refine(levels(), tol, "sphere potential product rule")
 
 
 def _interval_potential(r: float, x, tol: float) -> QuadratureResult:
+    # every split includes psi = 0, where the density peaks with width ~ 1/r
     if _is_infinite(x):
         def f(psi):
             y = r * np.sin(psi)
             return _interval_psi_density(r, psi) * 0.5 * np.log1p(y * y)
-        return adaptive_gauss_legendre(f, -np.pi / 2, np.pi / 2, tol)
+        return _even_interval_integral(f, tol)
     z = complex(x)
     if z.imag == 0.0 and abs(z.real) <= r:
         xr = z.real
@@ -242,17 +247,16 @@ def _interval_potential(r: float, x, tol: float) -> QuadratureResult:
                                     * np.sin(0.5 * (psi - psi_x)))
             return p * (-np.log(dist) + 0.5 * math.log1p(xr * xr)
                         + 0.5 * np.log1p(y * y))
-        return split_singular(f, -np.pi / 2, np.pi / 2, psi_x, tol)
+        return split_singular(f, -np.pi / 2, np.pi / 2, (0.0, psi_x), tol)
 
     def g(psi):
         y = r * np.sin(psi)
         p = _interval_psi_density(r, psi)
         return p * (-np.log(np.abs(z - y)) + _half_log1p_sq(abs(z))
                     + 0.5 * np.log1p(y * y))
-    if abs(z.real) <= r:
-        # near the cut the kernel is nearly singular at Re z: split there too
-        return split_singular(g, -np.pi / 2, np.pi / 2, math.asin(z.real / r), tol)
-    return adaptive_gauss_legendre(g, -np.pi / 2, np.pi / 2, tol)
+    # near the cut the kernel is nearly singular at Re z: split there too
+    cuts = (0.0, math.asin(z.real / r)) if abs(z.real) <= r else 0.0
+    return split_singular(g, -np.pi / 2, np.pi / 2, cuts, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -271,60 +275,51 @@ def energy(target: TargetSet, tol: float = 1e-8,
     if cross_tol is None:
         cross_tol = 1e-5 if isinstance(target, Interval) else 1e-6
     single = _energy_single(target, tol)
-    double, extra_evals = _energy_double(target, tol, cross_tol)
-    gap = abs(single.value - double)
+    double = _energy_double(target, tol, cross_tol)
+    gap = abs(single.value - double.value)
     if gap > cross_tol:
         raise QuadratureError(
-            f"energy cross-check failed: single {float(single.value)!r} "
-            f"vs double {float(double)!r}")
+            f"energy cross-check failed: single {single.value!r} "
+            f"vs double {double.value!r}")
     return QuadratureResult(single.value, max(single.est_error, gap),
-                            single.evaluations + extra_evals)
+                            single.evaluations + double.evaluations)
 
 
 def _energy_single(target: TargetSet, tol: float) -> QuadratureResult:
-    if isinstance(target, Sphere):
-        return potential(target, INF, tol)
-    if isinstance(target, RealLine):
-        return potential(target, INF, tol)
-    return potential(target, 0.0, tol)
+    return potential(target, 0.0 if isinstance(target, Interval) else INF, tol)
 
 
 def _energy_double(target: TargetSet, tol: float,
-                   cross_tol: float) -> tuple[float, int]:
-    """Outer quadrature of the potential against the measure, doubling nodes."""
+                   cross_tol: float) -> QuadratureResult:
+    """Outer Gauss-Legendre rule, n = 16 to 128, on the potential against the measure.
+
+    ``evaluations`` counts the inner ones; refuses when n = 128 is not converged.
+    """
     inner_tol = tol / 4
     evals = 0
 
-    def outer(n: int) -> float:
+    def potentials(xs):
         nonlocal evals
-        nodes, weights = np.polynomial.legendre.leggauss(n)
-        total = 0.0
-        if isinstance(target, Sphere):
-            for u, w in zip(0.5 * (nodes + 1.0), 0.5 * weights):
-                rho = math.sqrt(1.0 / u - 1.0)
-                res = _sphere_potential(complex(rho), inner_tol)
-                total += w * res.value
-                evals += res.evaluations
-        elif isinstance(target, RealLine):
-            for t, w in zip(nodes * (np.pi / 2), weights * (np.pi / 2)):
-                inner = potential(target, math.tan(t), inner_tol)
-                total += w * inner.value / math.pi
-                evals += inner.evaluations
-        else:
-            r = target.r
-            for psi, w in zip(nodes * (np.pi / 2), weights * (np.pi / 2)):
-                inner = potential(target, r * math.sin(psi), inner_tol)
-                total += w * float(_interval_psi_density(r, psi)) * inner.value
-                evals += inner.evaluations
-        return total
+        inner = [potential(target, x, inner_tol) for x in xs]
+        evals += sum(p.evaluations for p in inner)
+        return np.array([p.value for p in inner])
 
-    prev = outer(16)
-    for n in (32, 64, 128):
-        cur = outer(n)
-        if abs(cur - prev) <= cross_tol / 4:
-            return cur, evals
-        prev = cur
-    return prev, evals
+    if isinstance(target, Interval):
+        r = target.r
+
+        def f(psi):
+            return _interval_psi_density(r, psi) * potentials(r * np.sin(psi))
+        outer = _even_interval_integral(f, cross_tol / 4, max_doublings=3)
+    elif isinstance(target, Sphere):
+        def f(u):
+            return potentials(np.sqrt(1.0 / u - 1.0))
+        outer = adaptive_gauss_legendre(f, 0.0, 1.0, cross_tol / 4, max_doublings=3)
+    else:
+        def f(t):
+            return potentials(np.tan(t)) / np.pi
+        outer = adaptive_gauss_legendre(f, -np.pi / 2, np.pi / 2, cross_tol / 4,
+                                        max_doublings=3)
+    return QuadratureResult(outer.value, outer.est_error, evals)
 
 
 # ---------------------------------------------------------------------------
@@ -373,41 +368,12 @@ def harmonic_measure_interval(r: float, a: float, b: float,
         raise ValueError(f"need -r <= a < b <= r, got a={a}, b={b}, r={r}")
     lo = math.asin(max(-1.0, min(1.0, a / r)))
     hi = math.asin(max(-1.0, min(1.0, b / r)))
-    return adaptive_gauss_legendre(lambda psi: _interval_psi_density(r, psi),
-                                   lo, hi, tol)
+    return split_singular(lambda psi: _interval_psi_density(r, psi),
+                          lo, hi, min(max(0.0, lo), hi), tol)
 
 
 def energy_via_balayage(r: float, tol: float = 1e-8) -> QuadratureResult:
     """Interval energy as Green value at i plus the swept-out log moment."""
     g = green_interval(1j, r)
-
-    def f(psi):
-        y = r * np.sin(psi)
-        return _interval_psi_density(r, psi) * 0.5 * np.log1p(y * y)
-    # the density peaks at psi = 0 with width ~ 1/r; splitting there lets the
-    # tanh-sinh node clustering resolve it for every r
-    moment = split_singular(f, -np.pi / 2, np.pi / 2, 0.0, tol)
+    moment = _interval_potential(r, INF, tol)
     return QuadratureResult(g + moment.value, moment.est_error, moment.evaluations)
-
-
-# ---------------------------------------------------------------------------
-# bundled measure object
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EquilibriumMeasure:
-    """A target set together with its density evaluator and closed-form energy."""
-
-    set: TargetSet
-
-    def density(self, x) -> float:
-        return density(self.set, x)
-
-    @property
-    def analytic_energy(self) -> float:
-        return analytic_energy(self.set)
-
-
-def equilibrium_measure(target: TargetSet) -> EquilibriumMeasure:
-    return EquilibriumMeasure(target)

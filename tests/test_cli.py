@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -5,6 +7,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arakelov.cli import main
 
@@ -88,6 +92,11 @@ class TestOtherCommands:
         code, out = run_cli(capsys, "measure", "--interval", "2", "--energy")
         assert code == 0
         assert "0.8047189562" in out
+
+    def test_measure_wide_interval(self, capsys):
+        code, out = run_cli(capsys, "measure", "--interval", "16", "--energy")
+        assert code == 0
+        assert "0.6950965008" in out  # log(2 sqrt(257) / 16)
 
     def test_measure_density_grid(self, capsys):
         code, out = run_cli(capsys, "measure", "--interval", "1",
@@ -177,6 +186,20 @@ class TestInputFaults:
         report = json.loads(capsys.readouterr().out)
         assert report["h_arakelov"] == pytest.approx(20 * math.log(10), abs=1e-9)
         assert report["crosscheck_residual"] <= 1e-9
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(r=st.floats(0.05, 200.0),
+       action=st.sampled_from(["--energy", "--mass", "--potential-at"]),
+       u=st.floats(-2.0, 2.0))
+def test_measure_interval_converges_or_refuses(r, action, u):
+    argv = ["measure", "--interval", repr(r)]
+    argv += [f"--potential-at={u * r!r}"] if action == "--potential-at" else [action]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 class TestBudgets:

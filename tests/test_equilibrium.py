@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from arakelov import equilibrium
+from arakelov.bounds import chebyshev_limit_integral
 from arakelov.equilibrium import (INF, Interval, RealLine, Sphere,
                                   analytic_energy, conformal_map, density,
-                                  energy, energy_via_balayage,
-                                  equilibrium_measure, exterior_map,
+                                  energy, energy_via_balayage, exterior_map,
                                   green_interval, harmonic_measure_interval,
                                   mass, potential)
 from arakelov.quadrature import QuadratureError, tanh_sinh
@@ -141,6 +143,15 @@ class TestPotential:
         assert potential(Interval(r), 1e200).value == pytest.approx(
             potential(Interval(r), INF).value, abs=1e-12)
 
+    @pytest.mark.parametrize("r", [64.0, 100.0])
+    @pytest.mark.parametrize("psi", [-1.5, -1.45, 1.45, 1.5])
+    def test_wide_interval_near_the_ends(self, r, psi):
+        # the density peak at psi = 0 and the kernel singularity at psi are
+        # both panel endpoints, so these converge
+        result = potential(Interval(r), r * math.sin(psi), tol=1e-8)
+        assert result.est_error <= 1e-8
+        assert result.value == pytest.approx(analytic_energy(Interval(r)), abs=1e-7)
+
 
 class TestEnergy:
     def test_sphere(self):
@@ -166,15 +177,42 @@ class TestEnergy:
             assert energy(Interval(r), tol=1e-8).value == pytest.approx(
                 analytic_energy(Interval(r)), abs=1e-5)
 
-    def test_cross_check_refusal_prints_plain_floats(self):
+    @pytest.mark.parametrize("r", [16.0, 25.4, 32.0, 64.0, 100.0])
+    def test_wide_intervals(self, r):
+        result = energy(Interval(r), tol=1e-8)
+        assert result.value == pytest.approx(analytic_energy(Interval(r)), abs=1e-5)
+
+    def test_cross_check_refusal_prints_plain_floats(self, monkeypatch):
+        single = equilibrium._energy_single
+
+        def off_by_1e3(target, tol):
+            result = single(target, tol)
+            return dataclasses.replace(result, value=result.value + 1e-3)
+        monkeypatch.setattr(equilibrium, "_energy_single", off_by_1e3)
         with pytest.raises(QuadratureError,
                            match=r"^energy cross-check failed: single 0\.69\d* vs double 0\.69\d*$"):
             energy(Interval(16.0), tol=1e-8)
 
-    def test_measure_object(self):
-        measure = equilibrium_measure(Interval(2.0))
-        assert measure.analytic_energy == pytest.approx(math.log(math.sqrt(5)), rel=1e-14)
-        assert measure.density(0.0) == density(Interval(2.0), 0.0)
+    def test_unconverged_outer_rule_refuses(self):
+        # no outer level up to n = 128 can agree to 1e-300
+        with pytest.raises(QuadratureError, match="Gauss-Legendre up to n=128 stalled"):
+            energy(Interval(2.0), tol=1e-8, cross_tol=1e-300)
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: mass(Sphere()), lambda: mass(RealLine()), lambda: mass(Interval(2.0)),
+    lambda: potential(Sphere(), 0.5), lambda: potential(RealLine(), 0.5),
+    lambda: potential(Interval(2.0), 0.5),
+    lambda: energy(Sphere()), lambda: energy(RealLine()), lambda: energy(Interval(8.0)),
+    lambda: energy_via_balayage(2.0), lambda: harmonic_measure_interval(2.0, -1.0, 1.5),
+    chebyshev_limit_integral,
+], ids=["mass-sphere", "mass-line", "mass-interval", "potential-sphere",
+        "potential-line", "potential-interval", "energy-sphere", "energy-line",
+        "energy-interval", "balayage", "harmonic-measure", "chebyshev"])
+def test_results_hold_plain_floats(compute):
+    result = compute()
+    assert type(result.value) is float
+    assert type(result.est_error) is float
 
 
 class TestConformalMap:
