@@ -61,16 +61,22 @@ _RHO_STEPS = 1 << 14  # map evaluations per composite
 # ECM curves per composite as (curves, B1), tried in order with sigma = 6, 7, ...
 _ECM_SCHEDULE = ((8, 500), (25, 2000), (12, 11000))
 _B2_PER_B1 = 100
+# the cost of rho and ECM, and of a primality test, grows with the size of a
+# part, so larger parts stay whole: a 1070-bit composite took the schedule 18 s
+_SPLIT_BITS = 256
+_PRIME_TEST_BITS = 2048
 
 
 def factor_positive(n: int) -> tuple[dict[int, int], int]:
     """Factor n >= 1 as far as a fixed budget goes: ``(primes, cofactor)``.
 
-    Trial division to 10^4, then every composite part gets a perfect-square
-    check, Brent-Pollard rho and the ECM schedule, and both parts of every
-    split are factored again.  A composite part that survives the whole
-    budget is multiplied into ``cofactor``, which is 1 when n factors
-    completely; n is always the product of the primes and the cofactor.
+    Trial division to 10^4, then every composite part of at most
+    ``_SPLIT_BITS`` bits gets a perfect-square check, Brent-Pollard rho and the
+    ECM schedule, and both parts of every split are factored again.  A part
+    that survives the whole budget, a larger composite, and any part above
+    ``_PRIME_TEST_BITS`` bits is multiplied into ``cofactor``, which is 1 when
+    n factors completely; n is always the product of the primes and the
+    cofactor.
     """
     out: dict[int, int] = {}
     for p in _small_primes():
@@ -83,9 +89,10 @@ def factor_positive(n: int) -> tuple[dict[int, int], int]:
     parts = [n] if n > 1 else []
     while parts:
         m = parts.pop()
-        if sympy.isprime(m):
+        bits = m.bit_length()
+        if bits <= _PRIME_TEST_BITS and sympy.isprime(m):
             out[m] = out.get(m, 0) + 1
-        elif (d := _split(m)) is None:
+        elif bits > _SPLIT_BITS or (d := _split(m)) is None:
             cofactor *= m
         else:
             parts += (d, m // d)

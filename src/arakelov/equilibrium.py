@@ -291,9 +291,10 @@ def _energy_single(target: TargetSet, tol: float) -> QuadratureResult:
 
 def _energy_double(target: TargetSet, tol: float,
                    cross_tol: float) -> QuadratureResult:
-    """Outer Gauss-Legendre rule, n = 16 to 128, on the potential against the measure.
+    """Outer Gauss-Legendre rule on the potential against the measure: n = 16 to
+    256 on an interval, whose density peak narrows as 1/r, and 16 to 128 elsewhere.
 
-    ``evaluations`` counts the inner ones; refuses when n = 128 is not converged.
+    ``evaluations`` counts the inner ones; refuses when the last n is not converged.
     """
     inner_tol = tol / 4
     evals = 0
@@ -309,7 +310,7 @@ def _energy_double(target: TargetSet, tol: float,
 
         def f(psi):
             return _interval_psi_density(r, psi) * potentials(r * np.sin(psi))
-        outer = _even_interval_integral(f, cross_tol / 4, max_doublings=3)
+        outer = _even_interval_integral(f, cross_tol / 4, max_doublings=4)
     elif isinstance(target, Sphere):
         def f(u):
             return potentials(np.sqrt(1.0 / u - 1.0))

@@ -224,12 +224,15 @@ def _resultant_int(f: tuple[int, ...], g: tuple[int, ...]) -> int:
     if da < 1 or db < 1:
         raise ValueError("resultant needs two nonconstant polynomials")
     # Hadamard bound on |Res|: product of Euclidean row norms of Sylvester
-    nf = math.sqrt(sum(c * c for c in f))
-    ng = math.sqrt(sum(c * c for c in g))
-    bound = 2 * math.ceil(nf) ** db * math.ceil(ng) ** da + 1
+    nf = math.isqrt(sum(c * c for c in f)) + 1
+    ng = math.isqrt(sum(c * c for c in g)) + 1
+    bound = 2 * nf ** db * ng ** da + 1
     modulus = 1
     residue = 0
-    for p in _crt_primes():
+    primes = _crt_primes()
+    if bound.bit_length() >= 62 * len(primes):
+        primes = ()  # every prime exceeds 2^62: out of reach, refuse without work
+    for p in primes:
         if f[-1] % p == 0 or g[-1] % p == 0:
             continue  # leading coefficient degenerates mod p
         r = fp_resultant(fp_trim(f, p), fp_trim(g, p), p)
@@ -244,7 +247,8 @@ def _resultant_int(f: tuple[int, ...], g: tuple[int, ...]) -> int:
         if modulus > bound:
             break
     else:
-        raise RuntimeError("ran out of reduction primes for resultant")
+        raise ArithmeticError(f"the resultant may need {bound.bit_length()} bits, more "
+                              "than the reduction primes cover")
     if residue > modulus // 2:
         residue -= modulus
     return residue

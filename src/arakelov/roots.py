@@ -1,10 +1,22 @@
 """Simultaneous complex root finding with certified per-root error radii.
 
-The solver runs an all-roots (Aberth-Ehrlich) iteration in double precision,
-then polishes and certifies each root in higher working precision against the
-exact integer coefficients.  The certificate is the classical inclusion bound:
-every polynomial of degree d has a root within d*|f(z)/f'(z)| of z, so d
-pairwise disjoint disks of that radius pin down all d roots, one per disk.
+The certificate is the classical inclusion bound: every polynomial of degree
+d has a root within d*|f(z)/f'(z)| of z, so d pairwise disjoint disks of that
+radius pin down all d roots, one per disk.
+
+- Starts: Aberth-Ehrlich sweeps begin on the circles of the Newton polygon,
+  the upper hull of (i, log|a_i|): a hull edge from i to j puts j - i starts on
+  the circle of radius (|a_i| / |a_j|)^(1/(j - i)), where that many roots sit
+  roughly (Bini, Numer. Algorithms 1996; Bini-Robol, J. Comput. Appl. Math.
+  2014).  A zero constant term puts one start, and one root, at 0.
+- First rung: double precision, with a running-error bound on Horner's rule.
+- Second rung, for the roots the first one leaves above ``tol``: a double
+  centre is a dyadic rational, so f and f' are evaluated there exactly on the
+  integer coefficients, a few Newton steps polish the centre, and the radius
+  carries only the rounding of its final quotient and square root.
+- ``_aberth_mp`` reruns Aberth in mpmath only when the coefficients overflow a
+  double or the rungs above do not certify; its centres go through the exact
+  rung as well.
 """
 from __future__ import annotations
 
@@ -15,12 +27,18 @@ from dataclasses import dataclass
 
 import mpmath as mp
 
+from .padic import _lower_hull
 from .polynomials import PrimitivePolynomial
 
 _SWEEP_BUDGET = 200
+_POLISH_STEPS = 8  # exact evaluations per root in the second rung
+_MP_DPS = 60
 _ANGLE_OFFSET = 2.0 * math.pi * (math.sqrt(5) - 1) / 2  # irrational fraction of a turn
 _NAN = complex(math.nan, math.nan)
-_CENTER_SLACK = 4e-16  # relative rounding of an mpc center to a complex
+_EPS = sys.float_info.epsilon
+_ROUNDING = 1.0 + 4.0 * _EPS  # covers the three roundings of an exact-rung radius
+_TINY = 5e-324  # smallest subnormal: covers the rounding of a subnormal radius
+_CENTER_SLACK = 4e-16  # how far, relative to its modulus, a double may sit from a root
 
 
 class RootFindingError(RuntimeError):
@@ -45,42 +63,38 @@ class CertifiedComplexRoots:
 def complex_roots(f: PrimitivePolynomial, tol: float = 1e-12) -> CertifiedComplexRoots:
     """Find all roots of f with certified radii at most ``tol``.
 
-    Raises :class:`RootFindingError` if certification fails after the
-    iteration budget and the precision ladder.
+    Raises :class:`RootFindingError` if no rung certifies them.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    d = f.degree
-    if d == 1:
-        a0, a1 = f.coeffs
+    coeffs = f.coeffs
+    if f.degree == 1:
+        a0, a1 = coeffs
         try:
             root = -a0 / a1  # correctly rounded even for big ints
         except OverflowError:
             root = math.inf
         if not math.isfinite(root):
             raise RootFindingError("root exceeds double-precision range")
-        radius = 4.0 * sys.float_info.epsilon * (1.0 + abs(root))
-        if radius <= tol:
-            return CertifiedComplexRoots((complex(root),), (radius,))
-        pair = _certify(f.coeffs, [complex(root)], dps=30, steps=2)
-        return _package(pair, tol)
-    try:
-        approx = _aberth(f.coeffs)
-    except OverflowError:  # coefficients or iterates beyond float range
-        approx = _aberth_mp(f.coeffs, dps=60)
-    fast = _certify_double(f.coeffs, approx)
-    if fast is not None and _accept(*fast, tol):
-        return _package(fast, tol)
-    for dps, steps in ((30, 2), (60, 6)):
-        centers, radii = _certify(f.coeffs, approx, dps=dps, steps=steps)
-        if _accept(centers, radii, tol):
-            return _package((centers, radii), tol)
-        approx = centers
-    approx = _aberth_mp(f.coeffs, dps=120)
-    centers, radii = _certify(f.coeffs, approx, dps=120, steps=4)
+        centers = [complex(root)]
+        radii = [4.0 * _EPS * (1.0 + abs(root))]
+        retry_in_mpmath = False  # the centre is already the nearest double
+    else:
+        try:
+            approx = _aberth(coeffs)
+            retry_in_mpmath = True
+        except OverflowError:  # coefficients or iterates beyond float range
+            approx = _aberth_mp(coeffs)
+            retry_in_mpmath = False
+        centers, radii = _certify_double(coeffs, approx) or (approx, [math.inf] * f.degree)
+    _certify_exact(coeffs, centers, radii, tol)
+    if retry_in_mpmath and not _accept(centers, radii, tol):
+        centers = _aberth_mp(coeffs)
+        radii = [math.inf] * f.degree
+        _certify_exact(coeffs, centers, radii, tol)
     if _accept(centers, radii, tol):
-        return _package((centers, radii), tol)
-    modulus = _modulus_lower_bound(f.coeffs)
+        return _package(centers, radii)
+    modulus = _modulus_lower_bound(coeffs)
     if _CENTER_SLACK * modulus > tol:
         raise RootFindingError(
             f"could not certify roots of {f} to radius {tol:g}: a root of modulus "
@@ -100,8 +114,7 @@ def _modulus_lower_bound(coeffs: tuple[int, ...]) -> float:
     return math.exp(min(log_bound, 709.0))
 
 
-def _package(pair, tol) -> CertifiedComplexRoots:
-    centers, radii = pair
+def _package(centers, radii) -> CertifiedComplexRoots:
     order = sorted(range(len(centers)), key=lambda i: (centers[i].real, centers[i].imag))
     return CertifiedComplexRoots(
         roots=tuple(centers[i] for i in order),
@@ -120,22 +133,37 @@ def _accept(centers, radii, tol) -> bool:
     return True
 
 
+def _starts(coeffs: tuple[int, ...]) -> list[tuple[float | None, float]]:
+    """(log radius, angle) of each Aberth start, from the Newton polygon.
+
+    The log radius is None for the start at 0 that a zero constant term asks
+    for.  Each circle is turned by its first index, so circles do not line up.
+    """
+    d = len(coeffs) - 1
+    hull = _lower_hull([(i, -math.log(abs(a))) for i, a in enumerate(coeffs) if a])
+    starts: list[tuple[float | None, float]] = [(None, 0.0)] * hull[0][0]
+    for (i0, h0), (i1, h1) in zip(hull, hull[1:]):
+        m = i1 - i0
+        log_radius = (h1 - h0) / m
+        starts += [(log_radius, 2.0 * math.pi * (k / m + i0 / d) + _ANGLE_OFFSET)
+                   for k in range(m)]
+    return starts
+
+
 def _aberth(coeffs: tuple[int, ...]) -> list[complex]:
-    """Aberth-Ehrlich in double precision: Jacobi sweeps from the Cauchy circle.
+    """Aberth-Ehrlich in double precision: Jacobi sweeps from the polygon circles.
 
     Scalar loops over Python complex values; at the degrees heights see, array
     calls cost more in overhead than the arithmetic they do.  A division by
     zero gives a non-finite step, which falls back to the Newton step or, if
-    that is not finite either, to a fixed nudge.  OverflowError (coefficients
-    or iterates beyond float range) propagates to the caller.
+    that is not finite either, to a fixed nudge.  OverflowError (coefficients,
+    start radii or iterates beyond float range) propagates to the caller.
     """
-    d = len(coeffs) - 1
     lead = float(coeffs[-1])
     c = [float(a) / lead for a in coeffs[:-1]]  # monic; the leading 1 is implicit
-    radius = 1.0 + max(abs(a) for a in c)  # Cauchy bound
-    z = [radius * cmath.exp(1j * (2.0 * math.pi * k / d + _ANGLE_OFFSET))
-         for k in range(d)]
-    nudge = complex(1e-3 * radius)
+    z = [0j if lr is None else cmath.rect(math.exp(lr), angle)
+         for lr, angle in _starts(coeffs)]
+    nudge = complex(1e-3 * max(abs(v) for v in z))
     for _ in range(_SWEEP_BUDGET):
         moved = False
         new = []
@@ -168,16 +196,22 @@ def _aberth(coeffs: tuple[int, ...]) -> list[complex]:
     return z
 
 
-def _aberth_mp(coeffs: tuple[int, ...], dps: int) -> list[complex]:
+def _aberth_mp(coeffs: tuple[int, ...]) -> list[complex]:
+    """Aberth-Ehrlich in mpmath, for coefficients beyond float range and for
+    inputs the double sweeps leave uncertified; centres come back as doubles."""
     d = len(coeffs) - 1
-    with mp.workdps(dps):
-        radius = 1 + mp.mpf(max(abs(c) for c in coeffs[:-1])) / coeffs[-1]
-        z = [radius * mp.expjpi(2 * mp.mpf(k) / d + mp.mpf(_ANGLE_OFFSET) / mp.pi)
-             for k in range(d)]
+    with mp.workdps(_MP_DPS):
+        z = [mp.mpc(0) if lr is None else mp.exp(lr) * mp.expj(angle)
+             for lr, angle in _starts(coeffs)]
+        still = mp.mpf(10) ** (5 - _MP_DPS)
         for _ in range(_SWEEP_BUDGET):
-            moved = mp.mpf(0)
+            moved = False
             for i in range(d):
-                fz, fpz = _eval_pair(coeffs, z[i])
+                fz = mp.mpc(coeffs[-1])
+                fpz = mp.mpc(0)
+                for a in coeffs[-2::-1]:
+                    fpz = fpz * z[i] + fz
+                    fz = fz * z[i] + a
                 if fpz == 0:
                     continue
                 newton = fz / fpz
@@ -185,8 +219,8 @@ def _aberth_mp(coeffs: tuple[int, ...], dps: int) -> list[complex]:
                 denom = 1 - newton * rep
                 step = newton if denom == 0 else newton / denom
                 z[i] -= step
-                moved = max(moved, abs(step))
-            if moved < mp.mpf(10) ** (-dps + 5):
+                moved = moved or abs(step) > still * abs(z[i])
+            if not moved:
                 break
         return [complex(v) for v in z]
 
@@ -196,17 +230,16 @@ def _certify_double(coeffs: tuple[int, ...],
     """Certification in double precision with a rigorous evaluation-error bound.
 
     Returns None when any coefficient is too large to round exactly to float
-    or a derivative is swamped by rounding error; callers then fall back to
-    the high-precision path.
+    or |f(z)| overflows; a root whose derivative is swamped by rounding error
+    gets an infinite radius.  The exact rung takes over in both cases.
     """
     if any(abs(a) > 2 ** 53 for a in coeffs):
         return None
     d = len(coeffs) - 1
     c = [float(a) for a in coeffs]
     tail = c[-2::-1]
-    eps = sys.float_info.epsilon
     # running-error bound for complex Horner, with headroom over the real case
-    unit = (4.0 * d + 4.0) * eps
+    unit = (4.0 * d + 4.0) * _EPS
     centers = [complex(v) for v in approx]
     radii = []
     try:
@@ -222,47 +255,72 @@ def _certify_double(coeffs: tuple[int, ...],
                 magp = magp * az + mag
                 mag = mag * az + abs(a)
             denom = abs(fpz) - unit * magp
-            if denom <= 0.0:
-                return None
-            radii.append(d * (abs(fz) + unit * mag) / denom + 4.0 * eps * (1.0 + az))
+            radii.append(d * (abs(fz) + unit * mag) / denom + 4.0 * _EPS * (1.0 + az)
+                         if denom > 0.0 else math.inf)
     except OverflowError:  # |f(z)| beyond float range
         return None
     return centers, radii
 
 
-def _eval_pair(coeffs, z):
-    fz = mp.mpc(coeffs[-1])
-    fpz = mp.mpc(0)
-    for a in coeffs[-2::-1]:
-        fpz = fpz * z + fz
-        fz = fz * z + a
-    return fz, fpz
+def _certify_exact(coeffs: tuple[int, ...], centers: list[complex],
+                   radii: list[float], tol: float) -> None:
+    """Second rung, in place: every root whose radius exceeds ``tol`` takes
+    Newton steps on exactly evaluated f/f' from its centre, and each centre
+    reached comes with the radius of its own exact evaluation."""
+    for i, r in enumerate(radii):
+        if r <= tol:
+            continue
+        z = centers[i]
+        for _ in range(_POLISH_STEPS):
+            if not cmath.isfinite(z):
+                break
+            radius, step = _exact_step(coeffs, z)
+            centers[i], radii[i] = z, radius
+            if step is None or z - step == z or abs(step) <= _EPS * abs(z):
+                break
+            z -= step
 
 
-def _certify(coeffs: tuple[int, ...], approx, dps: int,
-             steps: int) -> tuple[list[complex], list[float]]:
-    """Newton-polish each center, then bound the nearest root distance."""
-    d = len(coeffs) - 1
-    centers: list[complex] = []
-    radii: list[float] = []
-    with mp.workdps(dps):
-        for z0 in approx:
-            z = mp.mpc(z0)
-            for _ in range(steps):
-                fz, fpz = _eval_pair(coeffs, z)
-                if fpz == 0:
-                    z += mp.mpf(10) ** (-dps // 2)
-                    continue
-                z -= fz / fpz
-            fz, fpz = _eval_pair(coeffs, z)
-            if fpz == 0:
-                radius = math.inf
-            else:
-                radius = float(d * abs(fz / fpz)) * (1 + 1e-9)
-            zc = complex(z)
-            # slack for the mpc -> complex rounding of the center itself: a
-            # relative ulp, plus a floor for centers in the subnormal range
-            radius += _CENTER_SLACK * abs(zc) + 1e-320
-            centers.append(zc)
-            radii.append(radius)
-    return centers, radii
+def _exact_step(coeffs: tuple[int, ...], z: complex) -> tuple[float, complex | None]:
+    """Certified radius d |f(z)/f'(z)| from an exact evaluation, and the
+    Newton step f/f' as a double (None when f'(z) = 0 or it overflows).
+
+    z = (X + iY)/Q with Q = 2^s, so homogenised Horner gives B = Q^d f(z) and
+    C = Q^(d-1) f'(z) in Python ints, and f/f' = B / (Q C).
+    """
+    (xn, xq), (yn, yq) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    s = max(xq, yq).bit_length() - 1
+    x = xn << (s - xq.bit_length() + 1)
+    y = yn << (s - yq.bit_length() + 1)
+    br, bi = coeffs[-1], 0
+    cr = ci = 0
+    for j, a in enumerate(coeffs[-2::-1], 1):
+        cr, ci = cr * x - ci * y + br, cr * y + ci * x + bi
+        br, bi = br * x - bi * y + (a << (s * j)), br * y + bi * x
+    c2 = cr * cr + ci * ci
+    radius = _radius_bound(len(coeffs) - 1, br * br + bi * bi, c2 << (2 * s))
+    if not c2:
+        return radius, None
+    # B conj(C) / (Q |C|^2), each part a correctly rounded int / int
+    q = c2 << s
+    try:
+        return radius, complex((br * cr + bi * ci) / q, (bi * cr - br * ci) / q)
+    except OverflowError:
+        return radius, None
+
+
+def _radius_bound(d: int, num: int, den: int) -> float:
+    """An upper bound on d * sqrt(num / den); inf when den = 0 or it overflows.
+
+    The quotient is scaled by 4^k into the normal range, so its rounding stays
+    relative however small the ratio; ``_ROUNDING`` covers the quotient, the
+    square root and the product, and ``_TINY`` a subnormal result.
+    """
+    if not den:
+        return math.inf
+    k = max(0, (den.bit_length() - num.bit_length()) // 2 + 1)
+    try:
+        q = (num << (2 * k)) / den
+    except OverflowError:
+        return math.inf
+    return math.ldexp(d * math.sqrt(q) * _ROUNDING, -k) + _TINY

@@ -14,7 +14,8 @@ from arakelov.arith import (_split_roots, euler_phi, factor_positive, fp_gcd,
 from arakelov.bounds import PlaceSet, nonarch_term
 from arakelov.heights import Place
 from arakelov.padic import newton_polygon, p_adic_root_count
-from arakelov.polynomials import _crt_primes, _is_squarefree, parse_polynomial
+from arakelov.polynomials import (_crt_primes, _is_squarefree, _resultant_int,
+                                  parse_polynomial)
 
 from test_polynomials import X, random_polys
 
@@ -43,6 +44,16 @@ class TestResultant:
                 if f[-1] % p == 0 or g[-1] % p == 0:
                     continue  # a degree drop mod p changes the resultant
                 assert fp_resultant(fp_trim(f, p), fp_trim(g, p), p) == expected % p
+
+
+    def test_out_of_reach_refuses_without_work(self):
+        # a Hadamard bound beyond what the reduction primes cover is refused
+        # at once, as an ArithmeticError (exit 3 in the CLI), not a RuntimeError
+        f = (1, 0, 10**400, 1)
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="more than the reduction primes cover"):
+            _resultant_int(f, (10**5000, 1))
+        assert time.perf_counter() - start < 0.1
 
 
 class TestGcd:
@@ -150,6 +161,16 @@ class TestFactoring:
         start = time.perf_counter()
         assert factor_positive(4 * 9973 * p * q) == ({2: 2, 9973: 1}, p * q)
         assert time.perf_counter() - start < 10.0
+
+    def test_large_parts_stay_whole(self):
+        # rho and ECM only split parts of at most 256 bits, and a part above
+        # 2048 bits, here the Mersenne prime 2^2203 - 1, is not even tested
+        p, q = sympy.nextprime(2**150), sympy.nextprime(2**151)
+        mersenne = 2**2203 - 1
+        start = time.perf_counter()
+        assert factor_positive(12 * p * q) == ({2: 2, 3: 1}, p * q)
+        assert factor_positive(3 * mersenne) == ({3: 1}, mersenne)
+        assert time.perf_counter() - start < 1.0
 
     def test_euler_phi_refuses_a_cofactor(self, monkeypatch):
         monkeypatch.setattr(arith, "_RHO_STEPS", 0)

@@ -7,7 +7,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from arakelov.cli import main
@@ -216,6 +216,63 @@ class TestBudgets:
         assert [e["method"] for e in report["locals"]] == ["numeric-roots",
                                                            "unfactored-cofactor"]
         assert elapsed <= 10.0
+
+
+    def test_degree_400_certifies(self):
+        # Newton-polygon starts: this ran past 40 s from the Cauchy circle
+        cmd = [sys.executable, "-m", "arakelov", "height", "--poly", "x^400 - 2",
+               "--format", "json"]
+        start = time.perf_counter()
+        done = subprocess.run(cmd, capture_output=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["h_weil"] == pytest.approx(math.log(2) / 400, abs=1e-12)
+        assert elapsed <= 10.0
+
+    def test_root_beyond_absolute_reach_refuses(self):
+        # roots near +-1e150: no double centre is within 1e-12 of them
+        cmd = [sys.executable, "-m", "arakelov", "height", "--poly",
+               f"x^2 - {10 ** 300 + 3}"]
+        start = time.perf_counter()
+        done = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 3
+        assert "modulus at least 1e+150" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert elapsed <= 10.0
+
+    @pytest.mark.parametrize("r", ["120", "150", "200"])
+    def test_wide_interval_energy(self, capsys, r):
+        # the outer rule of the cross-check reaches n = 256 on intervals
+        code, out = run_cli(capsys, "measure", "--interval", r, "--energy",
+                            "--format", "json")
+        assert code == 0
+        radius = float(r)
+        closed = math.log(2 * math.sqrt(1 + radius * radius) / radius)
+        assert json.loads(out)["value"] == pytest.approx(closed, abs=1e-9)
+
+
+@st.composite
+def _coefficient_lists(draw):
+    degree = draw(st.integers(1, 60))
+    bound = 10 ** draw(st.integers(0, 400))
+    return draw(st.lists(st.integers(-bound, bound), min_size=degree + 1,
+                         max_size=degree + 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(coeffs=_coefficient_lists(),
+       command=st.sampled_from([["height"], ["local", "--place", "inf"],
+                                ["local", "--place", "2"], ["local", "--place", "7"]]))
+def test_height_and_local_exit_within_contract(coeffs, command):
+    argv = [command[0], "--coeffs", json.dumps(coeffs), *command[1:]]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 class TestVerifyCommand:

@@ -194,8 +194,8 @@ class TestEnergy:
             energy(Interval(16.0), tol=1e-8)
 
     def test_unconverged_outer_rule_refuses(self):
-        # no outer level up to n = 128 can agree to 1e-300
-        with pytest.raises(QuadratureError, match="Gauss-Legendre up to n=128 stalled"):
+        # no outer level up to n = 256 (the interval cap) can agree to 1e-300
+        with pytest.raises(QuadratureError, match="Gauss-Legendre up to n=256 stalled"):
             energy(Interval(2.0), tol=1e-8, cross_tol=1e-300)
 
 

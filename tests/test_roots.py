@@ -1,9 +1,10 @@
 import math
+import time
 
 import pytest
 
 from arakelov.polynomials import PrimitivePolynomial, cyclotomic_polynomial, parse_polynomial
-from arakelov.roots import RootFindingError, complex_roots
+from arakelov.roots import RootFindingError, _starts, complex_roots
 
 from test_polynomials import random_polys
 
@@ -107,3 +108,29 @@ class TestExtremeMagnitudes:
         f = parse_polynomial(f"x^2 - {10**300 + 3}")
         with pytest.raises(RootFindingError, match=r"modulus at least 1e\+150"):
             complex_roots(f, tol=1e-12)
+
+    def test_roots_that_are_doubles_certify_at_any_modulus(self):
+        # the centres +-2^150 are the roots themselves: the exact rung needs no
+        # centre-rounding slack, which alone would exceed tol at this modulus
+        certified = complex_roots(parse_polynomial(f"x^2 - {2 ** 300}"), tol=1e-12)
+        assert certified.roots == (complex(-2.0 ** 150), complex(2.0 ** 150))
+        assert certified.max_radius() <= 1e-12
+
+
+class TestNewtonPolygonStarts:
+    def test_degree_400_certifies_quickly(self):
+        # every start sits on |z| = 2^(1/400), where the roots are; from the
+        # Cauchy circle (radius 3) this input ran past 40 s
+        start = time.perf_counter()
+        certified = complex_roots(parse_polynomial("x^400 - 2"), tol=1e-12)
+        assert time.perf_counter() - start < 2.0
+        assert certified.degree == 400
+        assert certified.max_radius() <= 1e-12
+        assert all(abs(abs(z) - 2 ** (1 / 400)) <= 1e-12 for z in certified.roots)
+
+    def test_circles_follow_the_hull(self):
+        # x (x - 1000) (1000 x - 1): a start at 0, then circles of radius about
+        # 1e-3 and 1e3, one start each
+        starts = _starts((0, 1000, -1000001, 1000))
+        assert starts[0][0] is None
+        assert [math.exp(lr) for lr, _ in starts[1:]] == pytest.approx([1e-3, 1e3], rel=1e-5)
