@@ -5,9 +5,15 @@ the chordal kernel is smooth and boundary handling disappears: tan angles on
 the real projective line, spherical angles on the sphere, and x = r*sin(t)
 inside an interval.  The optimizer is plain gradient descent with Armijo
 backtracking, restarted from samples of the analytic equilibrium density.
+
+Each target has one energy kernel, which evaluates the chordal kernel on the
+n(n-1)/2 point pairs only (their indices cached per n), and one gradient
+kernel.  An accepted step keeps the energy its Armijo test computed, so an
+iteration evaluates the gradient once and the energy only at trial points.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,63 +58,74 @@ def _pair_scale(n: int) -> float:
     return 1.0 / (n * (n - 1))
 
 
-def _sphere_vectors(params: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (i, j), i < j, of the n(n-1)/2 point pairs in row-major order."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _sphere_vectors(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = len(params) // 2
     az, pol = params[:n], params[n:]
     sp = np.sin(pol)
-    return np.stack([sp * np.cos(az), sp * np.sin(az), np.cos(pol)], axis=1)
+    return sp * np.cos(az), sp * np.sin(az), np.cos(pol)
 
 
-def _energy_only(target: TargetSet, params: np.ndarray) -> float:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if isinstance(target, RealLine):
-            n = len(params)
-            d = params[:, None] - params[None, :]
-            s = np.abs(np.sin(d))
-            iu = np.triu_indices(n, 1)
-            return float(-2.0 * np.sum(np.log(s[iu])) * _pair_scale(n)) + 0.0
-        if isinstance(target, Sphere):
-            u = _sphere_vectors(params)
-            n = u.shape[0]
-            diff = u[:, None, :] - u[None, :, :]
-            dist = np.sqrt(np.sum(diff * diff, axis=2))
-            iu = np.triu_indices(n, 1)
-            return float(-2.0 * np.sum(np.log(dist[iu] / 2.0)) * _pair_scale(n)) + 0.0
-        if isinstance(target, Interval):
-            x = target.r * np.sin(params)
-            n = len(x)
-            d = np.abs(x[:, None] - x[None, :])
-            iu = np.triu_indices(n, 1)
-            w = 0.5 * np.log1p(x * x)
-            total = -np.sum(np.log(d[iu])) + (n - 1) * np.sum(w)
-            return float(2.0 * total * _pair_scale(n)) + 0.0
+def _energy(target: TargetSet, params: np.ndarray) -> float:
+    """Discrete energy from the n(n-1)/2 pair distances; +inf at coincident points."""
+    if isinstance(target, RealLine):
+        n = len(params)
+        i, j = _pairs(n)
+        s = np.abs(np.sin(params[i] - params[j]))
+        return float(-2.0 * np.log(s).sum() * _pair_scale(n)) + 0.0
+    if isinstance(target, Sphere):
+        x, y, z = _sphere_vectors(params)
+        n = len(x)
+        i, j = _pairs(n)
+        dx, dy, dz = x[i] - x[j], y[i] - y[j], z[i] - z[j]
+        dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+        return float(-2.0 * np.log(dist / 2.0).sum() * _pair_scale(n)) + 0.0
+    if isinstance(target, Interval):
+        x = target.r * np.sin(params)
+        n = len(x)
+        i, j = _pairs(n)
+        w = 0.5 * np.log1p(x * x)
+        total = -np.log(np.abs(x[i] - x[j])).sum() + (n - 1) * w.sum()
+        return float(2.0 * total * _pair_scale(n)) + 0.0
     raise TypeError(f"not a target set: {target!r}")
 
 
-def _energy_gradient(target: TargetSet, params: np.ndarray) -> tuple[float, np.ndarray]:
+def _gradient(target: TargetSet, params: np.ndarray) -> np.ndarray:
+    """Gradient of ``_energy`` with respect to ``params``."""
     if isinstance(target, RealLine):
         n = len(params)
-        d = params[:, None] - params[None, :]
-        np.fill_diagonal(d, np.pi / 2)  # placeholder; diagonal excluded below
-        cot = np.cos(d) / np.sin(d)
-        np.fill_diagonal(cot, 0.0)
-        grad = -2.0 * _pair_scale(n) * np.sum(cot, axis=1)
-        return _energy_only(target, params), grad
+        i, j = _pairs(n)
+        d = params[i] - params[j]
+        c = np.cos(d) / np.sin(d)
+        # cos is even and sin odd, so cot(p_j - p_i) is exactly -cot(p_i - p_j)
+        cot = np.zeros(n * n)
+        cot[i * n + j] = c
+        cot[j * n + i] = -c
+        return -2.0 * _pair_scale(n) * cot.reshape(n, n).sum(axis=1)
     if isinstance(target, Sphere):
-        u = _sphere_vectors(params)
-        n = u.shape[0]
-        diff = u[:, None, :] - u[None, :, :]
-        d2 = np.sum(diff * diff, axis=2)
+        x, y, z = _sphere_vectors(params)
+        n = len(x)
+        # column i of each matrix holds u_i - u_j over j, summed in j order
+        dx, dy, dz = x - x[:, None], y - y[:, None], z - z[:, None]
+        d2 = dx * dx + dy * dy + dz * dz
         np.fill_diagonal(d2, 1.0)
         # dE/du_i = -2s * sum_j (u_i - u_j)/|u_i - u_j|^2
-        du = -2.0 * _pair_scale(n) * np.sum(diff / d2[:, :, None], axis=1)
+        scale = -2.0 * _pair_scale(n)
+        gx = scale * (dx / d2).sum(axis=0)
+        gy = scale * (dy / d2).sum(axis=0)
+        gz = scale * (dz / d2).sum(axis=0)
         az, pol = params[:n], params[n:]
         sp, cp = np.sin(pol), np.cos(pol)
         sa, ca = np.sin(az), np.cos(az)
-        d_az = np.stack([-sp * sa, sp * ca, np.zeros(n)], axis=1)
-        d_pol = np.stack([cp * ca, cp * sa, -sp], axis=1)
-        grad = np.concatenate([np.sum(du * d_az, axis=1), np.sum(du * d_pol, axis=1)])
-        return _energy_only(target, params), grad
+        return np.concatenate([gx * (-sp * sa) + gy * (sp * ca),
+                               gx * (cp * ca) + gy * (cp * sa) + gz * -sp])
     if isinstance(target, Interval):
         r = target.r
         x = r * np.sin(params)
@@ -117,15 +134,15 @@ def _energy_gradient(target: TargetSet, params: np.ndarray) -> tuple[float, np.n
         np.fill_diagonal(d, 1.0)
         inv = 1.0 / d
         np.fill_diagonal(inv, 0.0)
-        dx = 2.0 * _pair_scale(n) * (-np.sum(inv, axis=1) + (n - 1) * x / (1.0 + x * x))
-        grad = dx * r * np.cos(params)
-        return _energy_only(target, params), grad
+        dx = 2.0 * _pair_scale(n) * (-inv.sum(axis=1) + (n - 1) * x / (1.0 + x * x))
+        return dx * r * np.cos(params)
     raise TypeError(f"not a target set: {target!r}")
 
 
 def discrete_energy(config: PointConfiguration) -> float:
     """Mean pairwise -log chordal distance; rejects coincident points."""
-    value = _energy_only(config.set, np.asarray(config.params, dtype=float))
+    with np.errstate(divide="ignore"):
+        value = _energy(config.set, np.asarray(config.params, dtype=float))
     if not math.isfinite(value):
         raise ValueError("configuration contains coincident points (infinite energy)")
     return value
@@ -174,7 +191,7 @@ def descend(target: TargetSet, params: np.ndarray, budget: int,
             trace: list | None = None) -> tuple[np.ndarray, float, int, bool]:
     """Armijo-backtracking gradient descent; every accepted step decreases energy."""
     params = np.asarray(params, dtype=float).copy()
-    energy, grad = _energy_gradient(target, params)
+    energy, grad = _energy(target, params), _gradient(target, params)
     if trace is not None:
         trace.append(energy)
     step = 1.0
@@ -196,15 +213,16 @@ def descend(target: TargetSet, params: np.ndarray, budget: int,
         step = min(max(step, 1e-18), 1e6)
         while True:
             trial = params - step * grad
-            trial_energy = _energy_only(target, trial)
+            trial_energy = _energy(target, trial)
             if trial_energy <= energy - 1e-4 * step * gnorm2:
                 break
             step *= 0.5
             if step < 1e-18:
                 return params, energy, iterations, True  # numerically stationary
         prev_params, prev_grad = params, grad
-        params = trial
-        new_energy, grad = _energy_gradient(target, params)
+        # the Armijo test already evaluated the energy at the accepted point
+        params, new_energy = trial, trial_energy
+        grad = _gradient(target, params)
         iterations += 1
         if trace is not None:
             trace.append(new_energy)
@@ -244,14 +262,14 @@ def minimize(target: TargetSet, n: int, seed: int = 0, budget: int = 4000,
 def gradient_relative_error(target: TargetSet, params, h: float = 1e-6) -> float:
     """Relative gap between the analytic gradient and central finite differences."""
     params = np.asarray(params, dtype=float)
-    _, grad = _energy_gradient(target, params)
+    grad = _gradient(target, params)
     fd = np.empty_like(grad)
     for i in range(len(params)):
         bumped = params.copy()
         bumped[i] += h
-        hi = _energy_only(target, bumped)
+        hi = _energy(target, bumped)
         bumped[i] -= 2 * h
-        lo = _energy_only(target, bumped)
+        lo = _energy(target, bumped)
         fd[i] = (hi - lo) / (2 * h)
     scale = float(np.linalg.norm(grad))
     return float(np.linalg.norm(fd - grad)) / max(scale, 1e-12)

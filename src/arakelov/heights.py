@@ -8,7 +8,9 @@ genuine cross-check, reported as ``crosscheck_residual``.
 """
 from __future__ import annotations
 
+import decimal
 import math
+import sys
 from dataclasses import dataclass
 
 from .arith import factor_positive, require_prime
@@ -42,7 +44,15 @@ class Place:
 
     @property
     def key(self):
-        return "inf" if self.prime is None else self.prime
+        """"inf", the prime, or the exact decimal string of an unfactored
+        cofactor with more digits than the interpreter converts between int and
+        str (4300 by default): such an int can be neither printed nor parsed."""
+        if self.prime is None:
+            return "inf"
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if limit == 0 or self.prime < 10 ** limit:
+            return self.prime
+        return str(decimal.Decimal(self.prime))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import io
 import json
 import math
@@ -11,6 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from arakelov.cli import main
+from arakelov.polynomials import (PrimitivePolynomial, discriminant,
+                                  normalize_coefficients)
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +57,64 @@ class TestHeightCommand:
 
     def test_not_squarefree_exits_2(self, capsys):
         assert main(["height", "--poly", "x^2+2x+1"]) == 2
+
+
+# degree 8 with c_k = 10^400 + 7k + 3: the discriminant keeps a 5582-digit
+# unfactored cofactor, past the 4300 digits that str(int) will print
+HUGE_COEFFS = [10**400 + 7 * k + 3 for k in range(9)]
+
+
+class TestHugeCofactor:
+    def run(self, capsys, fmt):
+        code, out = run_cli(capsys, "height", "--coeffs", json.dumps(HUGE_COEFFS),
+                            "--format", fmt)
+        assert code == 0
+        return out
+
+    def cofactor_entry(self, capsys):
+        report = json.loads(self.run(capsys, "json"))
+        assert "discriminant-partially-factored" in report["flags"]
+        entry = report["locals"][-1]
+        assert entry["method"] == "unfactored-cofactor"
+        return report, entry
+
+    def test_json_renders_the_exact_decimal(self, capsys):
+        report, entry = self.cofactor_entry(capsys)
+        digits = entry["place"]
+        assert isinstance(digits, str) and digits.isdigit() and len(digits) > 4300
+        cofactor = int(decimal.Decimal(digits))
+        coeffs, _ = normalize_coefficients(HUGE_COEFFS)
+        rest, rem = divmod(abs(discriminant(PrimitivePolynomial(coeffs))), cofactor)
+        assert rem == 0
+        for p in [e["place"] for e in report["locals"][1:-1]]:
+            while rest % p == 0:
+                rest //= p
+        assert rest == 1
+        assert entry["value"] == pytest.approx(math.log(cofactor) / 56, rel=1e-12)
+
+    def test_csv_row(self, capsys):
+        _, entry = self.cofactor_entry(capsys)
+        assert f"\nlocal_{entry['place']}," in self.run(capsys, "csv")
+
+    def test_text_line(self, capsys):
+        _, entry = self.cofactor_entry(capsys)
+        assert f"\nlocal {entry['place']}: " in self.run(capsys, "text")
+
+    def test_lowered_digit_limit(self, capsys):
+        # coefficients near 10^60 leave an 838-digit cofactor, printable only
+        # under the default limit
+        coeffs = json.dumps([10**60 + 7 * k + 3 for k in range(9)])
+        default = json.loads(run_cli(capsys, "height", "--coeffs", coeffs,
+                                     "--format", "json")[1])["locals"][-1]["place"]
+        assert isinstance(default, int) and len(str(default)) == 838
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out = run_cli(capsys, "height", "--coeffs", coeffs, "--format", "json")
+            assert code == 0
+            assert int(decimal.Decimal(json.loads(out)["locals"][-1]["place"])) == default
+        finally:
+            sys.set_int_max_str_digits(previous)
 
 
 class TestOtherCommands:

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from arakelov.equilibrium import Interval, RealLine, Sphere, analytic_energy
-from arakelov.fekete import (PointConfiguration, convergence_table, descend,
+from arakelov.fekete import (PointConfiguration, _energy, _gradient,
+                             _pair_scale, convergence_table, descend,
                              discrete_energy, equally_spaced_energy,
                              gradient_relative_error, minimize)
+
+TARGETS = [RealLine(), Sphere(), Interval(2.0)]
 
 
 def config(target, params):
@@ -51,6 +54,13 @@ class TestDiscreteEnergy:
         b = discrete_energy(config(Sphere(), np.concatenate([az + 1.234, pol])))
         assert abs(a - b) < 1e-12
 
+    def test_rejects_coincident_points_on_the_sphere(self):
+        # two points at the north pole, whatever their azimuths
+        with pytest.raises(ValueError):
+            discrete_energy(config(Sphere(), [0.4, 1.9, 0.0, 0.0]))
+        with pytest.raises(ValueError):
+            discrete_energy(config(Sphere(), [1.0, 1.0, 0.7, 0.7]))
+
 
 class TestEquallySpaced:
     def test_two_points(self):
@@ -71,14 +81,106 @@ class TestEquallySpaced:
             equally_spaced_energy(1)
 
 
+def _full_matrix_energy(target, params):
+    """The n x n reference the pair kernels must reproduce bit for bit."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if isinstance(target, RealLine):
+            n = len(params)
+            d = params[:, None] - params[None, :]
+            s = np.abs(np.sin(d))
+            iu = np.triu_indices(n, 1)
+            return float(-2.0 * np.sum(np.log(s[iu])) * _pair_scale(n)) + 0.0
+        if isinstance(target, Sphere):
+            u = _full_matrix_vectors(params)
+            n = u.shape[0]
+            diff = u[:, None, :] - u[None, :, :]
+            dist = np.sqrt(np.sum(diff * diff, axis=2))
+            iu = np.triu_indices(n, 1)
+            return float(-2.0 * np.sum(np.log(dist[iu] / 2.0)) * _pair_scale(n)) + 0.0
+        x = target.r * np.sin(params)
+        n = len(x)
+        d = np.abs(x[:, None] - x[None, :])
+        iu = np.triu_indices(n, 1)
+        w = 0.5 * np.log1p(x * x)
+        total = -np.sum(np.log(d[iu])) + (n - 1) * np.sum(w)
+        return float(2.0 * total * _pair_scale(n)) + 0.0
+
+
+def _full_matrix_vectors(params):
+    n = len(params) // 2
+    az, pol = params[:n], params[n:]
+    sp = np.sin(pol)
+    return np.stack([sp * np.cos(az), sp * np.sin(az), np.cos(pol)], axis=1)
+
+
+def _full_matrix_gradient(target, params):
+    if isinstance(target, RealLine):
+        n = len(params)
+        d = params[:, None] - params[None, :]
+        np.fill_diagonal(d, np.pi / 2)  # placeholder; diagonal excluded below
+        cot = np.cos(d) / np.sin(d)
+        np.fill_diagonal(cot, 0.0)
+        return -2.0 * _pair_scale(n) * np.sum(cot, axis=1)
+    if isinstance(target, Sphere):
+        u = _full_matrix_vectors(params)
+        n = u.shape[0]
+        diff = u[:, None, :] - u[None, :, :]
+        d2 = np.sum(diff * diff, axis=2)
+        np.fill_diagonal(d2, 1.0)
+        du = -2.0 * _pair_scale(n) * np.sum(diff / d2[:, :, None], axis=1)
+        az, pol = params[:n], params[n:]
+        sp, cp = np.sin(pol), np.cos(pol)
+        sa, ca = np.sin(az), np.cos(az)
+        d_az = np.stack([-sp * sa, sp * ca, np.zeros(n)], axis=1)
+        d_pol = np.stack([cp * ca, cp * sa, -sp], axis=1)
+        return np.concatenate([np.sum(du * d_az, axis=1), np.sum(du * d_pol, axis=1)])
+    r = target.r
+    x = r * np.sin(params)
+    n = len(x)
+    d = x[:, None] - x[None, :]
+    np.fill_diagonal(d, 1.0)
+    inv = 1.0 / d
+    np.fill_diagonal(inv, 0.0)
+    dx = 2.0 * _pair_scale(n) * (-np.sum(inv, axis=1) + (n - 1) * x / (1.0 + x * x))
+    return dx * r * np.cos(params)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 17, 32, 64])
+    def test_equal_to_the_full_matrix_reference(self, target, n):
+        rng = np.random.default_rng(n)
+        size = 2 * n if isinstance(target, Sphere) else n
+        for _ in range(50):
+            params = rng.uniform(-3.0, 3.0, size)
+            assert _energy(target, params) == _full_matrix_energy(target, params)
+            assert np.array_equal(_gradient(target, params),
+                                  _full_matrix_gradient(target, params))
+
+    def test_non_target_raises(self):
+        with pytest.raises(TypeError):
+            _energy(object(), np.zeros(4))
+        with pytest.raises(TypeError):
+            _gradient(object(), np.zeros(4))
+
+
 class TestGradients:
-    @pytest.mark.parametrize("target", [RealLine(), Sphere(), Interval(2.0)])
+    @pytest.mark.parametrize("target", TARGETS)
     def test_matches_finite_differences(self, target):
         rng = np.random.default_rng(11)
         for _ in range(5):
             n = int(rng.integers(3, 7))
             size = 2 * n if isinstance(target, Sphere) else n
             params = rng.random(size) * 2.0 + 0.1
+            assert gradient_relative_error(target, params) <= 1e-6
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_matches_finite_differences_at_24_points(self, target):
+        # a few descent steps keep the points apart, where central differences
+        # resolve the gradient; uniform random angles put some pairs too close
+        start = minimize(target, 24, seed=3, budget=5, restarts=1).params
+        jitter = 0.01 * np.random.default_rng(24).standard_normal(len(start))
+        for params in (start, start + jitter):
             assert gradient_relative_error(target, params) <= 1e-6
 
 
