@@ -50,12 +50,18 @@ class Record:
         return "\n".join(lines) + "\n"
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, func, *reads: str) -> None:
+    """The command's handler, --format and --output, and those of --digits,
+    --tol and --seed that it reads: an option it would ignore is a usage error."""
+    sub.set_defaults(func=func)
     sub.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    sub.add_argument("--digits", type=int, default=10)
+    if "digits" in reads:
+        sub.add_argument("--digits", type=int, default=10)
     sub.add_argument("--output", default=None, help="write output to this file")
-    sub.add_argument("--tol", type=float, default=None, help="tolerance override")
-    sub.add_argument("--seed", type=int, default=0)
+    if "tol" in reads:
+        sub.add_argument("--tol", type=float, default=None, help="tolerance override")
+    if "seed" in reads:
+        sub.add_argument("--seed", type=int, default=0)
 
 
 def _add_set_flags(sub: argparse.ArgumentParser) -> None:
@@ -283,14 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     height = subs.add_parser("height", help="height report for an algebraic point")
     _add_point_flags(height)
     height.add_argument("--bits", action="store_true", help="report in bits")
-    _add_common(height)
-    height.set_defaults(func=_cmd_height)
+    _add_common(height, _cmd_height, "digits", "tol")
 
     local = subs.add_parser("local", help="one local energy sum")
     _add_point_flags(local)
     local.add_argument("--place", required=True, help="inf or a prime")
-    _add_common(local)
-    local.set_defaults(func=_cmd_local)
+    _add_common(local, _cmd_local, "digits", "tol")
 
     measure = subs.add_parser("measure", help="equilibrium measure quantities")
     _add_set_flags(measure)
@@ -300,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     action.add_argument("--potential-at", metavar="X")
     action.add_argument("--density-grid", type=int, metavar="N")
     action.add_argument("--potential-grid", type=int, metavar="N")
-    _add_common(measure)
-    measure.set_defaults(func=_cmd_measure)
+    _add_common(measure, _cmd_measure, "digits", "tol")
 
     fek = subs.add_parser("fekete", help="minimize the discrete energy")
     _add_set_flags(fek)
@@ -310,25 +313,21 @@ def build_parser() -> argparse.ArgumentParser:
     size.add_argument("--table", help="comma-separated N values")
     fek.add_argument("--budget", type=int, default=4000)
     fek.add_argument("--restarts", type=int, default=8)
-    _add_common(fek)
-    fek.set_defaults(func=_cmd_fekete)
+    _add_common(fek, _cmd_fekete, "digits", "seed")
 
     bnd = subs.add_parser("bounds", help="splitting lower bounds")
     bnd.add_argument("--places", required=True, help='e.g. "inf,2,3"')
     bnd.add_argument("--r", type=float, help="confine conjugates to [-r, r]")
-    _add_common(bnd)
-    bnd.set_defaults(func=_cmd_bounds)
+    _add_common(bnd, _cmd_bounds, "digits")
 
     pairs = subs.add_parser("pairs", help="census of prime pairs beating the bound")
-    _add_common(pairs)
-    pairs.set_defaults(func=_cmd_pairs)
+    _add_common(pairs, _cmd_pairs)
 
     verify = subs.add_parser("verify", help="run the reproduction checks")
     verify.add_argument("--suite", default="all",
                         choices=("all",) + tuple(verification.SUITES))
     verify.add_argument("--corpus-size", type=int, default=10000)
-    _add_common(verify)
-    verify.set_defaults(func=_cmd_verify)
+    _add_common(verify, _cmd_verify, "seed")
     return parser
 
 

@@ -66,11 +66,11 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _sphere_vectors(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sphere_vectors(params: np.ndarray):
+    """Coordinates (x, y, z) of the points, and (sin, cos) of azimuth and polar angle."""
     n = len(params) // 2
-    az, pol = params[:n], params[n:]
-    sp = np.sin(pol)
-    return sp * np.cos(az), sp * np.sin(az), np.cos(pol)
+    sa, ca, sp, cp = np.sin(params[:n]), np.cos(params[:n]), np.sin(params[n:]), np.cos(params[n:])
+    return (sp * ca, sp * sa, cp), (sa, ca, sp, cp)
 
 
 def _energy(target: TargetSet, params: np.ndarray) -> float:
@@ -81,7 +81,7 @@ def _energy(target: TargetSet, params: np.ndarray) -> float:
         s = np.abs(np.sin(params[i] - params[j]))
         return float(-2.0 * np.log(s).sum() * _pair_scale(n)) + 0.0
     if isinstance(target, Sphere):
-        x, y, z = _sphere_vectors(params)
+        (x, y, z), _ = _sphere_vectors(params)
         n = len(x)
         i, j = _pairs(n)
         dx, dy, dz = x[i] - x[j], y[i] - y[j], z[i] - z[j]
@@ -110,7 +110,7 @@ def _gradient(target: TargetSet, params: np.ndarray) -> np.ndarray:
         cot[j * n + i] = -c
         return -2.0 * _pair_scale(n) * cot.reshape(n, n).sum(axis=1)
     if isinstance(target, Sphere):
-        x, y, z = _sphere_vectors(params)
+        (x, y, z), (sa, ca, sp, cp) = _sphere_vectors(params)
         n = len(x)
         # column i of each matrix holds u_i - u_j over j, summed in j order
         dx, dy, dz = x - x[:, None], y - y[:, None], z - z[:, None]
@@ -121,9 +121,6 @@ def _gradient(target: TargetSet, params: np.ndarray) -> np.ndarray:
         gx = scale * (dx / d2).sum(axis=0)
         gy = scale * (dy / d2).sum(axis=0)
         gz = scale * (dz / d2).sum(axis=0)
-        az, pol = params[:n], params[n:]
-        sp, cp = np.sin(pol), np.cos(pol)
-        sa, ca = np.sin(az), np.cos(az)
         return np.concatenate([gx * (-sp * sa) + gy * (sp * ca),
                                gx * (cp * ca) + gy * (cp * sa) + gz * -sp])
     if isinstance(target, Interval):

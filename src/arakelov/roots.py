@@ -10,13 +10,12 @@ radius pin down all d roots, one per disk.
   roughly (Bini, Numer. Algorithms 1996; Bini-Robol, J. Comput. Appl. Math.
   2014).  A zero constant term puts one start, and one root, at 0.
 - First rung: double precision, with a running-error bound on Horner's rule.
-- Second rung, for the roots the first one leaves above ``tol``: a double
-  centre is a dyadic rational, so f and f' are evaluated there exactly on the
-  integer coefficients, a few Newton steps polish the centre, and the radius
-  carries only the rounding of its final quotient and square root.
-- ``_aberth_mp`` reruns Aberth in mpmath only when the coefficients overflow a
-  double or the rungs above do not certify; its centres go through the exact
-  rung as well.
+- Second rung, for each disk the first leaves above ``tol`` or meeting
+  another: a double centre is a dyadic rational, so f and f' are evaluated
+  there exactly on the integer coefficients, Aberth sweeps on those exact
+  quotients move the centres, and a radius carries only the rounding of its
+  quotient and square root.  The sweeps start from the polygon circles when
+  the coefficients overflow a double, and again when a first pass fails.
 """
 from __future__ import annotations
 
@@ -25,14 +24,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-import mpmath as mp
-
 from .padic import _lower_hull
 from .polynomials import PrimitivePolynomial
 
 _SWEEP_BUDGET = 200
-_POLISH_STEPS = 8  # exact evaluations per root in the second rung
-_MP_DPS = 60
 _ANGLE_OFFSET = 2.0 * math.pi * (math.sqrt(5) - 1) / 2  # irrational fraction of a turn
 _NAN = complex(math.nan, math.nan)
 _EPS = sys.float_info.epsilon
@@ -68,41 +63,40 @@ def complex_roots(f: PrimitivePolynomial, tol: float = 1e-12) -> CertifiedComple
     if tol <= 0:
         raise ValueError("tol must be positive")
     coeffs = f.coeffs
-    if f.degree == 1:
-        a0, a1 = coeffs
-        try:
-            root = -a0 / a1  # correctly rounded even for big ints
-        except OverflowError:
-            root = math.inf
-        if not math.isfinite(root):
-            raise RootFindingError("root exceeds double-precision range")
-        centers = [complex(root)]
-        radii = [4.0 * _EPS * (1.0 + abs(root))]
-        retry_in_mpmath = False  # the centre is already the nearest double
-    else:
-        try:
-            approx = _aberth(coeffs)
-            retry_in_mpmath = True
-        except OverflowError:  # coefficients or iterates beyond float range
-            approx = _aberth_mp(coeffs)
-            retry_in_mpmath = False
-        centers, radii = _certify_double(coeffs, approx) or (approx, [math.inf] * f.degree)
-    _certify_exact(coeffs, centers, radii, tol)
-    if retry_in_mpmath and not _accept(centers, radii, tol):
-        centers = _aberth_mp(coeffs)
-        radii = [math.inf] * f.degree
-        _certify_exact(coeffs, centers, radii, tol)
-    if _accept(centers, radii, tol):
-        return _package(centers, radii)
+    for centers, radii in _passes(coeffs):
+        if _certify_exact(coeffs, centers, radii, tol):
+            return _package(centers, radii)
     modulus = _modulus_lower_bound(coeffs)
-    if _CENTER_SLACK * modulus > tol:
-        raise RootFindingError(
-            f"could not certify roots of {f} to radius {tol:g}: a root of modulus "
-            f"at least {modulus:.3g} cannot be pinned to that absolute radius by "
-            "a double-precision center")
+    reason = (f": a root of modulus at least {modulus:.3g} cannot be pinned to that "
+              "absolute radius by a double-precision center"
+              if _CENTER_SLACK * modulus > tol else "; the input may be ill-conditioned")
+    # f is named by its size: str(f) fails past the interpreter's int-to-str limit
     raise RootFindingError(
-        f"could not certify roots of {f} to radius {tol:g}; "
-        "the input may be ill-conditioned")
+        f"could not certify the roots of a degree-{f.degree} polynomial with coefficients "
+        f"of up to {max(abs(a) for a in coeffs).bit_length()} bits to radius {tol:g}{reason}")
+
+
+def _passes(coeffs: tuple[int, ...]):
+    """Centres and radii for the exact rung, in turn: the double rung's, then the polygon's."""
+    d = len(coeffs) - 1
+    if d == 1:
+        try:
+            root = complex(-coeffs[0] / coeffs[1])  # correctly rounded even for big ints
+        except OverflowError:
+            raise RootFindingError("root exceeds double-precision range") from None
+        yield [root], [4.0 * _EPS * (1.0 + abs(root))]
+        return  # the centre is already the nearest double
+    try:
+        approx = _aberth(coeffs)
+    except OverflowError:  # coefficients or iterates beyond float range
+        pass
+    else:
+        yield _certify_double(coeffs, approx) or (approx, [math.inf] * d)
+    try:
+        starts = _start_points(coeffs)
+    except OverflowError:  # a circle beyond float range: no double centre is near
+        return
+    yield starts, [math.inf] * d
 
 
 def _modulus_lower_bound(coeffs: tuple[int, ...]) -> float:
@@ -150,6 +144,12 @@ def _starts(coeffs: tuple[int, ...]) -> list[tuple[float | None, float]]:
     return starts
 
 
+def _start_points(coeffs: tuple[int, ...]) -> list[complex]:
+    """The starts of ``_starts`` as complex doubles; OverflowError beyond float range."""
+    return [0j if lr is None else cmath.rect(math.exp(lr), angle)
+            for lr, angle in _starts(coeffs)]
+
+
 def _aberth(coeffs: tuple[int, ...]) -> list[complex]:
     """Aberth-Ehrlich in double precision: Jacobi sweeps from the polygon circles.
 
@@ -161,8 +161,7 @@ def _aberth(coeffs: tuple[int, ...]) -> list[complex]:
     """
     lead = float(coeffs[-1])
     c = [float(a) / lead for a in coeffs[:-1]]  # monic; the leading 1 is implicit
-    z = [0j if lr is None else cmath.rect(math.exp(lr), angle)
-         for lr, angle in _starts(coeffs)]
+    z = _start_points(coeffs)
     nudge = complex(1e-3 * max(abs(v) for v in z))
     for _ in range(_SWEEP_BUDGET):
         moved = False
@@ -194,35 +193,6 @@ def _aberth(coeffs: tuple[int, ...]) -> list[complex]:
         if not moved:
             break
     return z
-
-
-def _aberth_mp(coeffs: tuple[int, ...]) -> list[complex]:
-    """Aberth-Ehrlich in mpmath, for coefficients beyond float range and for
-    inputs the double sweeps leave uncertified; centres come back as doubles."""
-    d = len(coeffs) - 1
-    with mp.workdps(_MP_DPS):
-        z = [mp.mpc(0) if lr is None else mp.exp(lr) * mp.expj(angle)
-             for lr, angle in _starts(coeffs)]
-        still = mp.mpf(10) ** (5 - _MP_DPS)
-        for _ in range(_SWEEP_BUDGET):
-            moved = False
-            for i in range(d):
-                fz = mp.mpc(coeffs[-1])
-                fpz = mp.mpc(0)
-                for a in coeffs[-2::-1]:
-                    fpz = fpz * z[i] + fz
-                    fz = fz * z[i] + a
-                if fpz == 0:
-                    continue
-                newton = fz / fpz
-                rep = mp.fsum(1 / (z[i] - z[j]) for j in range(d) if j != i)
-                denom = 1 - newton * rep
-                step = newton if denom == 0 else newton / denom
-                z[i] -= step
-                moved = moved or abs(step) > still * abs(z[i])
-            if not moved:
-                break
-        return [complex(v) for v in z]
 
 
 def _certify_double(coeffs: tuple[int, ...],
@@ -263,22 +233,51 @@ def _certify_double(coeffs: tuple[int, ...],
 
 
 def _certify_exact(coeffs: tuple[int, ...], centers: list[complex],
-                   radii: list[float], tol: float) -> None:
-    """Second rung, in place: every root whose radius exceeds ``tol`` takes
-    Newton steps on exactly evaluated f/f' from its centre, and each centre
-    reached comes with the radius of its own exact evaluation."""
-    for i, r in enumerate(radii):
-        if r <= tol:
-            continue
-        z = centers[i]
-        for _ in range(_POLISH_STEPS):
+                   radii: list[float], tol: float) -> bool:
+    """Second rung, in place: Gauss-Seidel Aberth sweeps on exactly evaluated
+    f/f' over every root whose disk is above ``tol`` or meets another disk;
+    True when all disks end certified.  A moved centre keeps its old radius
+    as a guide until the next sweep evaluates it.  A root stops when its step
+    leaves its centre unchanged or is below eps |z| once its disk is isolated
+    (eps |z| / 16 before, so that sub-ulp steps still part a close pair).
+    """
+    if _accept(centers, radii, tol):
+        return True
+    active = [i for i in range(len(centers)) if not _isolated(i, centers, radii, tol)]
+    for _ in range(_SWEEP_BUDGET):
+        moved = []
+        for i in active:
+            z = centers[i]
             if not cmath.isfinite(z):
-                break
-            radius, step = _exact_step(coeffs, z)
-            centers[i], radii[i] = z, radius
-            if step is None or z - step == z or abs(step) <= _EPS * abs(z):
-                break
-            z -= step
+                continue
+            radii[i], newton = _exact_step(coeffs, z)
+            if newton is None:
+                continue
+            try:
+                repulsion = sum(1.0 / (z - w) for j, w in enumerate(centers) if j != i)
+                step = newton / (1.0 - newton * repulsion)
+            except ZeroDivisionError:
+                step = _NAN
+            if not cmath.isfinite(step):
+                step = newton
+            still = _EPS * abs(z) * (1.0 if _isolated(i, centers, radii, tol) else 0.0625)
+            if z - step == z or abs(step) <= still:
+                continue
+            centers[i] = z - step
+            moved.append(i)
+        active = moved
+        if not active:
+            break
+    for i in active:  # moved by the last sweep the budget allows: never evaluated
+        radii[i] = math.inf
+    return _accept(centers, radii, tol)
+
+
+def _isolated(i: int, centers: list[complex], radii: list[float], tol: float) -> bool:
+    """Whether disk i is certified: at most ``tol`` and disjoint from the others."""
+    r, z = radii[i], centers[i]
+    return r <= tol and all(abs(z - w) > r + radii[j]
+                            for j, w in enumerate(centers) if j != i)
 
 
 def _exact_step(coeffs: tuple[int, ...], z: complex) -> tuple[float, complex | None]:

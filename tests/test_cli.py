@@ -412,3 +412,17 @@ class TestFormatMatrix:
             main(argv)
         assert err.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--places", "inf", "--tol", "1"],
+        ["bounds", "--places", "inf,2", "--seed", "3"],
+        ["height", "--poly", "x - 1", "--seed", "1"],
+        ["fekete", "--real-line", "--n", "4", "--tol", "1e-3"],
+        ["pairs", "--digits", "4"],
+        ["verify", "--suite", "bounds", "--tol", "1"],
+    ], ids=" ".join)
+    def test_option_the_command_ignores_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,8 +1,12 @@
+import ast
 import math
+import pathlib
 import time
+from fractions import Fraction
 
 import pytest
 
+from arakelov import roots
 from arakelov.polynomials import PrimitivePolynomial, cyclotomic_polynomial, parse_polynomial
 from arakelov.roots import RootFindingError, _starts, complex_roots
 
@@ -115,6 +119,80 @@ class TestExtremeMagnitudes:
         certified = complex_roots(parse_polynomial(f"x^2 - {2 ** 300}"), tol=1e-12)
         assert certified.roots == (complex(-2.0 ** 150), complex(2.0 ** 150))
         assert certified.max_radius() <= 1e-12
+
+    def test_refusal_of_a_coefficient_too_long_to_print(self):
+        # 4401 digits: str(f) would raise ValueError past the int-to-str limit
+        f = PrimitivePolynomial.from_coeffs([-(10 ** 4400 + 3), 0, 1])
+        with pytest.raises(RootFindingError, match="degree-2 polynomial"):
+            complex_roots(f)
+
+
+def _mignotte(d, a):
+    """x^d - 2 (a x - 1)^2: two real roots within about a^(-d/2 - 1) of 1/a."""
+    return PrimitivePolynomial.from_coeffs([-2, 4 * a, -2 * a * a] + [0] * (d - 3) + [1])
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+# the (d, a) pairs of the Mignotte family whose roots certify at tol 1e-12
+MIGNOTTE_CERTIFIED = [(3, 10), (3, 100), (4, 10), (4, 100), (4, 1000), (5, 10), (5, 100),
+                      (5, 1000), (5, 10 ** 4), (6, 10), (6, 100), (6, 1000), (6, 10 ** 4),
+                      (6, 10 ** 5), (8, 10), (8, 100), (8, 1000), (10, 10), (10, 100),
+                      (10, 1000), (12, 10), (12, 100), (16, 10), (20, 10)]
+
+# (b x - a)(N b x - N a - b) r(x): real roots a/b and a/b + 1/N, r's roots apart;
+# the last two pairs are 1.9 and 1.1 ulp apart
+CLOSE_PAIRS = [(1, 3, 10 ** 3, [1]), (-7, 2, 10 ** 6 + 17, [5, -3, 0, 2]),
+               (11, 5, 10 ** 9 + 7, [-1, 0, 1, 0, 3]), (2, 13, 10 ** 12 + 39, [7, 1, 1]),
+               (-5, 1, 10 ** 14, [1]), (3, 29, 10 ** 14 + 3, [-2, 4, 0, 0, 0, 1]),
+               (-12, 1, 3 * 10 ** 14, [1, 0, 1]), (-12, 5, 2 * 10 ** 15, [1])]
+
+
+class TestHardInputs:
+    """Clustered roots and huge coefficients, certified by the exact rung."""
+
+    def test_all_certify_within_three_seconds(self):
+        start = time.perf_counter()
+        for d, a in MIGNOTTE_CERTIFIED:
+            assert complex_roots(_mignotte(d, a)).max_radius() <= 1e-12, (d, a)
+        for a, b, n, r in CLOSE_PAIRS:
+            f = PrimitivePolynomial.from_coeffs(_times(_times([-a, b], [-n * a - b, n * b]), r))
+            certified = complex_roots(f)
+            for root in (Fraction(a, b), Fraction(a, b) + Fraction(1, n)):
+                # exactly one disk holds each rational root, compared in rationals
+                assert sum((Fraction(z.real) - root) ** 2 + Fraction(z.imag) ** 2
+                           <= Fraction(rad) ** 2
+                           for z, rad in zip(certified.roots, certified.radii)) == 1
+        certified = complex_roots(PrimitivePolynomial.from_coeffs(
+            [10 ** 400 + 7 * k + 3 for k in range(9)]))
+        assert certified.degree == 8 and certified.max_radius() <= 1e-12
+        assert time.perf_counter() - start < 3.0
+
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5])
+    def test_a_radius_belongs_to_the_centre_it_ends_with(self, monkeypatch, budget):
+        # sweeps cut short by the budget leave no radius of an earlier centre
+        monkeypatch.setattr(roots, "_SWEEP_BUDGET", budget)
+        coeffs = _mignotte(8, 1000).coeffs
+        centers, radii = roots._start_points(coeffs), [math.inf] * 8
+        roots._certify_exact(coeffs, centers, radii, 1e-12)
+        assert all(r == math.inf or r == roots._exact_step(coeffs, z)[0]
+                   for z, r in zip(centers, radii))
+
+
+def test_no_module_imports_mpmath():
+    # sympy imports mpmath, so sys.modules cannot tell; the source can
+    for path in pathlib.Path(__file__).parent.parent.joinpath("src", "arakelov").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not any(name.split(".")[0] == "mpmath" for name in names), path
 
 
 class TestNewtonPolygonStarts:
