@@ -378,27 +378,6 @@ def fp_eval(f, x: int, p: int) -> int:
     return acc
 
 
-def fp_resultant(a: list[int], b: list[int], p: int) -> int:
-    """Resultant of a and b over F_p by the Euclidean remainder chain.
-
-    The degrees of a and b are taken from the lists, so both must keep the
-    degrees of the integer polynomials they reduce (leading coefficients
-    prime to p) for the value to be that resultant mod p.
-    """
-    res = 1
-    while True:
-        if not b:
-            return 0
-        if len(b) == 1:
-            return res * pow(b[0], len(a) - 1, p) % p
-        da, db = len(a) - 1, len(b) - 1
-        r = fp_rem(a, b, p)
-        res = res * pow(b[-1], da - max(len(r) - 1, 0), p) % p
-        if da % 2 == 1 and db % 2 == 1:
-            res = -res % p
-        a, b = b, r
-
-
 _BRUTE_FORCE_LIMIT = 3000
 
 

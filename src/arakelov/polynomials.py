@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import euler_phi, fp_gcd, fp_resultant, fp_trim, next_prime
+from .arith import euler_phi, fp_gcd, fp_trim
 
 
 class PolynomialSyntaxError(ValueError):
@@ -203,55 +203,66 @@ class AlgebraicPoint:
 
 
 # ---------------------------------------------------------------------------
-# exact discriminants via modular resultants
+# exact discriminants via the subresultant remainder sequence
 # ---------------------------------------------------------------------------
 
+# Work budget: a resultant whose Hadamard bound reaches this many bits is
+# refused.  400 x 62, the reach of the table of 400 primes above 2^62 that
+# the modular resultant used before this remainder sequence, so the same
+# inputs refuse.
+_RESULTANT_BITS = 24_800
 
-@lru_cache(maxsize=1)
-def _crt_primes() -> tuple[int, ...]:
-    # 62-bit primes; enough of them to cover discriminants of desk-scale input
-    primes = []
-    p = 2**62
-    while len(primes) < 400:
-        p = next_prime(p)
-        primes.append(p)
-    return tuple(primes)
+# A degree-0 gcd(f, f') modulo this prime certifies squarefreeness.
+_SQUAREFREE_PRIME = 2**61 - 1
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder of a by b: lead(b)^(deg a - deg b + 1) * a mod b."""
+    lb, db = b[-1], len(b) - 1
+    r = list(a)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = r.pop()
+        r = [lb * x for x in r]
+        for j in range(db):
+            r[k - db + j] -= c * b[j]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
 
 
 def _resultant_int(f: tuple[int, ...], g: tuple[int, ...]) -> int:
-    """Exact integer resultant by Chinese remaindering over word-size primes."""
+    """Exact resultant Res(f, g) by the subresultant polynomial remainder sequence.
+
+    Each pseudo-remainder divides exactly by lead * h^delta (Collins, J. ACM
+    1967; Brown and Traub, J. ACM 1971); the sign follows the degree parities.
+    """
     da, db = len(f) - 1, len(g) - 1
-    if da < 1 or db < 1:
-        raise ValueError("resultant needs two nonconstant polynomials")
+    if da < 1 and db < 1:
+        raise ValueError("resultant needs a nonconstant polynomial")
     # Hadamard bound on |Res|: product of Euclidean row norms of Sylvester
     nf = math.isqrt(sum(c * c for c in f)) + 1
     ng = math.isqrt(sum(c * c for c in g)) + 1
-    bound = 2 * nf ** db * ng ** da + 1
-    modulus = 1
-    residue = 0
-    primes = _crt_primes()
-    if bound.bit_length() >= 62 * len(primes):
-        primes = ()  # every prime exceeds 2^62: out of reach, refuse without work
-    for p in primes:
-        if f[-1] % p == 0 or g[-1] % p == 0:
-            continue  # leading coefficient degenerates mod p
-        r = fp_resultant(fp_trim(f, p), fp_trim(g, p), p)
-        # combine with existing residue
-        if modulus == 1:
-            modulus, residue = p, r
-        else:
-            inv = pow(modulus, -1, p)
-            t = (r - residue) * inv % p
-            residue = residue + modulus * t
-            modulus *= p
-        if modulus > bound:
-            break
-    else:
-        raise ArithmeticError(f"the resultant may need {bound.bit_length()} bits, more "
-                              "than the reduction primes cover")
-    if residue > modulus // 2:
-        residue -= modulus
-    return residue
+    bits = (2 * nf ** db * ng ** da + 1).bit_length()
+    if bits >= _RESULTANT_BITS:
+        raise ArithmeticError(f"the resultant may need {bits} bits, beyond the "
+                              f"{_RESULTANT_BITS}-bit budget")
+    a, b = list(f), list(g)
+    sign = -1 if da % 2 and db % 2 and da < db else 1
+    if da < db:
+        a, b = b, a
+    lead = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if len(a) % 2 == 0 and len(b) % 2 == 0:  # both degrees odd
+            sign = -sign
+        r = _prem(a, b)
+        if not r:
+            return 0
+        scale = lead * h**delta
+        a, b = b, [c // scale for c in r]
+        lead = a[-1]
+        h = lead**delta // h ** (delta - 1) if delta else h
+    return sign * b[0] ** (len(a) - 1) // h ** (len(a) - 2)
 
 
 def discriminant(f: PrimitivePolynomial) -> int:
@@ -269,20 +280,13 @@ def discriminant(f: PrimitivePolynomial) -> int:
 
 
 def _is_squarefree(coeffs: tuple[int, ...]) -> bool:
-    # A degree-0 gcd with f' modulo any good prime certifies squarefreeness;
-    # only then is the exact discriminant consulted.
+    # the modular certificate needs no resultant and so holds beyond the
+    # budget; only when it fails is the exact resultant consulted
     fp = tuple(k * c for k, c in enumerate(coeffs) if k >= 1)
-    checked = 0
-    for p in _crt_primes():
-        if coeffs[-1] % p == 0:
-            continue
-        if len(fp_gcd(fp_trim(coeffs, p), fp_trim(fp, p), p)) == 1:
-            return True
-        checked += 1
-        if checked >= 3:
-            break
-    res = _resultant_int(coeffs, fp)
-    return res != 0
+    p = _SQUAREFREE_PRIME
+    if coeffs[-1] % p and len(fp_gcd(fp_trim(coeffs, p), fp_trim(fp, p), p)) == 1:
+        return True
+    return _resultant_int(coeffs, fp) != 0
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 
 from arakelov import arith
 from arakelov.arith import (_split_roots, euler_phi, factor_positive, fp_gcd,
-                            fp_mul, fp_resultant, fp_roots, fp_trim, prime_range)
+                            fp_mul, fp_roots, fp_trim, prime_range)
 from arakelov.bounds import PlaceSet, nonarch_term
 from arakelov.heights import Place
 from arakelov.padic import newton_polygon, p_adic_root_count
-from arakelov.polynomials import (_crt_primes, _is_squarefree, _resultant_int,
-                                  parse_polynomial)
+from arakelov.polynomials import (_RESULTANT_BITS, _SQUAREFREE_PRIME, NotSquarefreeError,
+                                  PrimitivePolynomial, _is_squarefree, _resultant_int,
+                                  discriminant, parse_polynomial)
 
 from test_polynomials import X, random_polys
 
-P62 = _crt_primes()[0]
+P61 = _SQUAREFREE_PRIME
 
 
 def _sympy_poly(coeffs):
@@ -30,8 +31,39 @@ def _brute_roots(f, p):
     return [x for x in range(p) if sum(c * x**k for k, c in enumerate(f)) % p == 0]
 
 
+def _sparse_pairs(seed, count):
+    # 2-3 nonzero terms of degree 3-14, deg f >= deg g
+    rng = random.Random(seed)
+
+    def sparse():
+        d = rng.randint(3, 14)
+        c = [0] * (d + 1)
+        c[d] = rng.choice([1, -1, 2, -3, 5])
+        for k in rng.sample(range(d), rng.randint(1, 2)):
+            c[k] = rng.randint(-9, 9) or 1
+        return tuple(c)
+
+    pairs = []
+    while len(pairs) < count:
+        f, g = sparse(), sparse()
+        pairs.append((f, g) if len(f) >= len(g) else (g, f))
+    return pairs
+
+
+def _skips_a_degree(f, g):
+    """True when the remainder sequence of f, g drops two or more degrees after its first step."""
+    a, b = _sympy_poly(f).to_field(), _sympy_poly(g).to_field()
+    while True:
+        r = a.rem(b)
+        if r.is_zero:
+            return False
+        if b.degree() - r.degree() >= 2:
+            return True
+        a, b = b, r
+
+
 class TestResultant:
-    def test_matches_sympy_mod_p(self):
+    def test_matches_sympy_exactly(self):
         polys = random_polys(seed=211, count=40)
         pairs = [(f.coeffs, f.derivative_coeffs()) for f in polys]
         # sympy.resultant returns Res(g, f), not the Sylvester determinant
@@ -40,20 +72,40 @@ class TestResultant:
                   for f, g in zip(polys, polys[1:])]
         for f, g in pairs:
             expected = int(sympy.resultant(_sympy_poly(f), _sympy_poly(g)))
-            for p in (P62, 1000003, 101):
-                if f[-1] % p == 0 or g[-1] % p == 0:
-                    continue  # a degree drop mod p changes the resultant
-                assert fp_resultant(fp_trim(f, p), fp_trim(g, p), p) == expected % p
+            assert _resultant_int(f, g) == expected, (f, g)
+            # Res(g, f) = (-1)^(deg f deg g) Res(f, g)
+            assert _resultant_int(g, f) == (-1) ** ((len(f) - 1) * (len(g) - 1)) * expected
 
+    def test_sequences_that_skip_degrees_match_sympy(self):
+        pairs = _sparse_pairs(seed=233, count=1200)
+        assert sum(_skips_a_degree(f, g) for f, g in pairs[:200]) >= 40
+        for f, g in pairs:
+            expected = int(sympy.resultant(_sympy_poly(f), _sympy_poly(g)))
+            assert _resultant_int(f, g) == expected, (f, g)
+
+    def test_closed_form_of_x_to_the_n_plus_a(self):
+        # disc(x^n + a) = (-1)^(n(n-1)/2) n^n a^(n-1)
+        n, a = 400, -2
+        f = PrimitivePolynomial((a,) + (0,) * (n - 1) + (1,))
+        assert discriminant(f) == (-1) ** (n * (n - 1) // 2) * n**n * a ** (n - 1)
 
     def test_out_of_reach_refuses_without_work(self):
-        # a Hadamard bound beyond what the reduction primes cover is refused
-        # at once, as an ArithmeticError (exit 3 in the CLI), not a RuntimeError
+        # a Hadamard bound beyond the bit budget is refused at once, as an
+        # ArithmeticError (exit 3 in the CLI), not a RuntimeError
         f = (1, 0, 10**400, 1)
         start = time.perf_counter()
-        with pytest.raises(ArithmeticError, match="more than the reduction primes cover"):
+        with pytest.raises(ArithmeticError, match=f"beyond the {_RESULTANT_BITS}-bit budget"):
             _resultant_int(f, (10**5000, 1))
         assert time.perf_counter() - start < 0.1
+
+    def test_budget_splits_at_24800_bits(self):
+        # Res(x^2 + N, 2x) = 4N; the Hadamard bound is 18(N + 1) + 1
+        assert _RESULTANT_BITS == 24800
+        below, at = 2**24794, 2**24795
+        assert (18 * (below + 1) + 1).bit_length() == 24799
+        assert _resultant_int((below, 0, 1), (0, 2)) == 4 * below
+        with pytest.raises(ArithmeticError, match="may need 24800 bits"):
+            _resultant_int((at, 0, 1), (0, 2))
 
 
 class TestGcd:
@@ -68,10 +120,28 @@ class TestGcd:
             if len(f) < 3:
                 continue
             fp = [k * c for k, c in enumerate(f) if k >= 1]
-            degree = len(fp_gcd(fp_trim(f, P62), fp_trim(fp, P62), P62)) - 1
+            degree = len(fp_gcd(fp_trim(f, P61), fp_trim(fp, P61), P61)) - 1
             assert (degree == 0) == _is_squarefree(f), f
             squarefree += degree == 0
         assert 0 < squarefree < len(inputs) - 20
+
+    @pytest.mark.parametrize("coeffs", [
+        (-P61, 0, 1),  # x^2 - p: p divides the discriminant
+        (1, 1, P61),  # p x^2 + x + 1: p divides the leading coefficient
+        (1, -2 * P61, P61**2),  # (p x - 1)^2
+    ])
+    def test_fallback_past_the_fixed_prime(self, coeffs):
+        # the certificate mod p fails on each, so the exact resultant decides
+        fp = [k * c for k, c in enumerate(coeffs) if k >= 1]
+        assert coeffs[-1] % P61 == 0 or len(fp_gcd(fp_trim(coeffs, P61),
+                                                   fp_trim(fp, P61), P61)) > 1
+        squarefree = _sympy_poly(coeffs).gcd(_sympy_poly(fp)).degree() == 0
+        assert _is_squarefree(coeffs) == squarefree
+        if squarefree:
+            PrimitivePolynomial(coeffs)
+        else:
+            with pytest.raises(NotSquarefreeError):
+                PrimitivePolynomial(coeffs)
 
 
 class TestRoots:
