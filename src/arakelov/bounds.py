@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import next_prime, prime_range, require_prime
+from .equilibrium import _half_log1p_sq
 from .heights import HALF_LOG2
 from .quadrature import QuadratureResult, adaptive_gauss_legendre
 
@@ -96,9 +97,9 @@ def lower_bound_interval(places: PlaceSet, r: float) -> BoundResult:
     """
     if not places.includes_infinity:
         raise ValueError("the interval refinement requires the archimedean place in S")
-    if not r > 0:
-        raise ValueError("r must be positive")
-    base_value = 0.5 * (math.log(2.0) + 0.5 * math.log1p(r * r) - math.log(r))
+    if not 0 < r < math.inf:
+        raise ValueError("r must be positive and finite")
+    base_value = 0.5 * (math.log(2.0) + _half_log1p_sq(r) - math.log(r))
     return _assemble("interval", base_value, r, places.primes)
 
 

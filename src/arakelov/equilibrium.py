@@ -47,8 +47,8 @@ class Interval:
     r: float
 
     def __post_init__(self):
-        if not self.r > 0:
-            raise ValueError("interval radius must be positive")
+        if not 0 < self.r < math.inf:
+            raise ValueError("interval radius must be positive and finite")
 
 
 TargetSet = Sphere | RealLine | Interval
@@ -67,6 +67,8 @@ def analytic_energy(target: TargetSet) -> float:
         return math.log(2.0)
     if isinstance(target, Interval):
         r = target.r
+        if r > 1e150:  # r*r would overflow; sqrt(r*r + 1) is r to double precision
+            return math.log(2.0)
         return math.log(2.0 * math.sqrt(r * r + 1.0) / r)
     raise TypeError(f"not a target set: {target!r}")
 
@@ -93,8 +95,11 @@ def density(target: TargetSet, x) -> float:
             raise ValueError(f"point {xr} outside the open interval (-{r}, {r})")
         s = math.sqrt(r * r + 1.0) + 1.0
         w = math.sqrt(r * r - xr * xr)
-        return (s / (math.pi * w * (xr * xr + (s - w) ** 2))
-                + s / (math.pi * w * (xr * xr + (s + w) ** 2)))
+        value = (s / (math.pi * w * (xr * xr + (s - w) ** 2))
+                 + s / (math.pi * w * (xr * xr + (s + w) ** 2)))
+        if not math.isfinite(value):  # r*r overflows from r = 1.3e154
+            raise FloatingPointError(f"interval density at r = {r:g} is not finite")
+        return value
     raise TypeError(f"not a target set: {target!r}")
 
 
@@ -173,7 +178,7 @@ def _half_log1p_sq(a: float) -> float:
     """(1/2) log(1 + a^2) for a >= 0, also where a^2 overflows."""
     if a > 1e150:
         return math.log(a)  # the dropped (1/2) log1p(a^-2) is below 1e-300
-    return 0.5 * math.log1p(a ** 2)
+    return 0.5 * math.log1p(a * a)
 
 
 @lru_cache(maxsize=32)

@@ -1,13 +1,15 @@
 """Discrete chordal-energy minimization (Fekete-style point configurations).
 
 Free points live in unconstrained angle coordinates chosen per target set so
-the chordal kernel is smooth and boundary handling disappears: tan angles on
-the real projective line, spherical angles on the sphere, and x = r*sin(t)
-inside an interval.  The optimizer is plain gradient descent with Armijo
-backtracking, restarted from samples of the analytic equilibrium density.
+the chordal kernel is smooth and boundary handling disappears: spherical
+angles on the sphere, tan angles theta on the real projective line, where the
+chordal distance is |sin(theta - phi)|, and on an interval [-r, r], the arc
+theta = atan(r)*sin(t) of that line, angles t mapped onto the real-line
+kernels.  The optimizer is plain gradient descent with Armijo backtracking,
+restarted from samples of the analytic equilibrium density.
 
-Each target has one energy kernel, which evaluates the chordal kernel on the
-n(n-1)/2 point pairs only (their indices cached per n), and one gradient
+The two energy kernels (sphere, real line) evaluate the chordal kernel on the
+n(n-1)/2 point pairs only (their indices cached per n); each has one gradient
 kernel.  An accepted step keeps the energy its Armijo test computed, so an
 iteration evaluates the gradient once and the energy only at trial points.
 """
@@ -27,8 +29,8 @@ from .equilibrium import (Interval, RealLine, Sphere, TargetSet,
 class PointConfiguration:
     """An N-point configuration with its energy and optimizer bookkeeping.
 
-    ``params`` holds N angles for RealLine/Interval targets and 2N values
-    (N azimuths then N polar angles) for the sphere.
+    ``params`` holds 2N values (N azimuths then N polar angles) for the sphere,
+    else N angles: theta on the real line, t with theta = atan(r)*sin(t) on [-r, r].
     """
 
     set: TargetSet
@@ -88,12 +90,7 @@ def _energy(target: TargetSet, params: np.ndarray) -> float:
         dist = np.sqrt(dx * dx + dy * dy + dz * dz)
         return float(-2.0 * np.log(dist / 2.0).sum() * _pair_scale(n)) + 0.0
     if isinstance(target, Interval):
-        x = target.r * np.sin(params)
-        n = len(x)
-        i, j = _pairs(n)
-        w = 0.5 * np.log1p(x * x)
-        total = -np.log(np.abs(x[i] - x[j])).sum() + (n - 1) * w.sum()
-        return float(2.0 * total * _pair_scale(n)) + 0.0
+        return _energy(RealLine(), math.atan(target.r) * np.sin(params))
     raise TypeError(f"not a target set: {target!r}")
 
 
@@ -124,15 +121,8 @@ def _gradient(target: TargetSet, params: np.ndarray) -> np.ndarray:
         return np.concatenate([gx * (-sp * sa) + gy * (sp * ca),
                                gx * (cp * ca) + gy * (cp * sa) + gz * -sp])
     if isinstance(target, Interval):
-        r = target.r
-        x = r * np.sin(params)
-        n = len(x)
-        d = x[:, None] - x[None, :]
-        np.fill_diagonal(d, 1.0)
-        inv = 1.0 / d
-        np.fill_diagonal(inv, 0.0)
-        dx = 2.0 * _pair_scale(n) * (-inv.sum(axis=1) + (n - 1) * x / (1.0 + x * x))
-        return dx * r * np.cos(params)
+        alpha = math.atan(target.r)
+        return _gradient(RealLine(), alpha * np.sin(params)) * (alpha * np.cos(params))
     raise TypeError(f"not a target set: {target!r}")
 
 
@@ -167,7 +157,8 @@ def _initial_params(target: TargetSet, n: int, rng: np.random.Generator) -> np.n
     pdf = _interval_psi_density(target.r, grid)
     cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(grid))])
     cdf /= cdf[-1]
-    return np.interp(rng.random(n), cdf, grid)
+    x = target.r * np.sin(np.interp(rng.random(n), cdf, grid))
+    return np.arcsin(np.arctan(x) / np.arctan(target.r))
 
 
 def _canonicalize(target: TargetSet, params: np.ndarray) -> np.ndarray:
@@ -189,6 +180,8 @@ def descend(target: TargetSet, params: np.ndarray, budget: int,
     """Armijo-backtracking gradient descent; every accepted step decreases energy."""
     params = np.asarray(params, dtype=float).copy()
     energy, grad = _energy(target, params), _gradient(target, params)
+    if not (math.isfinite(energy) and np.isfinite(grad).all()):  # NaN fails Armijo until "stationary"
+        raise FloatingPointError(f"descent start is not finite: energy {energy!r}")
     if trace is not None:
         trace.append(energy)
     step = 1.0

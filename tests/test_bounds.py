@@ -86,6 +86,16 @@ class TestIntervalBound:
             gap = lower_bound_interval(PlaceSet.parse("inf"), r).value - HALF_LOG2
             assert 0.0 < gap <= tol
 
+    def test_huge_radius_is_finite(self):
+        # (1/2) log(1 + r^2) is log r here: r^2 would overflow
+        result = lower_bound_interval(PlaceSet.parse("inf,2"), 1e200)
+        assert result.value == pytest.approx(HALF_LOG2 + 0.5 * nonarch_term(2), abs=1e-15)
+
+    @pytest.mark.parametrize("r", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_radius(self, r):
+        with pytest.raises(ValueError):
+            lower_bound_interval(PlaceSet.parse("inf"), r)
+
     def test_strictly_decreasing_in_r(self):
         values = [lower_bound_interval(PlaceSet.parse("inf"), r).value
                   for r in (0.5, 1.0, 2.0, 4.0, 8.0)]

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -261,6 +262,44 @@ def test_measure_interval_converges_or_refuses(r, action, u):
         code = main(argv)
     assert code in (0, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"not strict JSON: {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestWideIntervals:
+    def test_fekete_converges_to_equal_spacing(self, capsys):
+        code, out = run_cli(capsys, "fekete", "--interval", "1e10", "--n", "8",
+                            "--format", "json")
+        assert code == 0
+        payload = _strict_json(out)
+        assert payload["converged"] is True
+        assert abs(payload["energy"] - (math.log(2) - math.log(8) / 7)) <= 1e-9
+        assert payload["analytic_limit"] == math.log(2)
+
+    @pytest.mark.parametrize("argv, want", [
+        (["fekete", "--interval", "1e16", "--n", "4"], 3),
+        (["fekete", "--interval", "inf", "--n", "4"], 2),
+        (["bounds", "--places", "inf", "--r", "inf"], 2),
+        (["bounds", "--places", "inf", "--r", "nan"], 2),
+        (["measure", "--interval", "1e200", "--density-grid", "3"], 3),
+    ])
+    def test_refusals_exit_without_traceback(self, capsys, argv, want):
+        with np.errstate(all="ignore"):
+            code = main([*argv, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == want
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+
+    def test_bound_at_huge_radius_is_strict_json(self, capsys):
+        code, out = run_cli(capsys, "bounds", "--places", "inf,2", "--r", "1e200",
+                            "--format", "json")
+        assert code == 0
+        assert _strict_json(out)["bound"] == pytest.approx(0.5776226505, abs=1e-9)
 
 
 class TestBudgets:

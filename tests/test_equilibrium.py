@@ -32,6 +32,15 @@ class TestDensity:
         assert density(Interval(2.0), 0.0) == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(0.3558812717, abs=1e-9)
 
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
+    def test_interval_radius_must_be_positive_and_finite(self, r):
+        with pytest.raises(ValueError):
+            Interval(r)
+
+    def test_interval_density_refuses_overflow(self):
+        with pytest.raises(FloatingPointError):
+            density(Interval(1e200), 0.5)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             density(Interval(2.0), 2.0)  # endpoint diverges
@@ -176,6 +185,11 @@ class TestEnergy:
         for r in (0.25, 4.0):
             assert energy(Interval(r), tol=1e-8).value == pytest.approx(
                 analytic_energy(Interval(r)), abs=1e-5)
+
+    def test_closed_form_past_the_overflow_of_r_squared(self):
+        assert analytic_energy(Interval(1e200)) == math.log(2)
+        # up to the overflow the value is log 2 already
+        assert analytic_energy(Interval(1e150)) == math.log(2)
 
     @pytest.mark.parametrize("r", [16.0, 25.4, 32.0, 64.0, 100.0])
     def test_wide_intervals(self, r):

@@ -97,13 +97,8 @@ def _full_matrix_energy(target, params):
             dist = np.sqrt(np.sum(diff * diff, axis=2))
             iu = np.triu_indices(n, 1)
             return float(-2.0 * np.sum(np.log(dist[iu] / 2.0)) * _pair_scale(n)) + 0.0
-        x = target.r * np.sin(params)
-        n = len(x)
-        d = np.abs(x[:, None] - x[None, :])
-        iu = np.triu_indices(n, 1)
-        w = 0.5 * np.log1p(x * x)
-        total = -np.sum(np.log(d[iu])) + (n - 1) * np.sum(w)
-        return float(2.0 * total * _pair_scale(n)) + 0.0
+    # an interval is the arc theta = atan(r)*sin(t) of the real projective line
+    return _full_matrix_energy(RealLine(), math.atan(target.r) * np.sin(params))
 
 
 def _full_matrix_vectors(params):
@@ -134,15 +129,9 @@ def _full_matrix_gradient(target, params):
         d_az = np.stack([-sp * sa, sp * ca, np.zeros(n)], axis=1)
         d_pol = np.stack([cp * ca, cp * sa, -sp], axis=1)
         return np.concatenate([np.sum(du * d_az, axis=1), np.sum(du * d_pol, axis=1)])
-    r = target.r
-    x = r * np.sin(params)
-    n = len(x)
-    d = x[:, None] - x[None, :]
-    np.fill_diagonal(d, 1.0)
-    inv = 1.0 / d
-    np.fill_diagonal(inv, 0.0)
-    dx = 2.0 * _pair_scale(n) * (-np.sum(inv, axis=1) + (n - 1) * x / (1.0 + x * x))
-    return dx * r * np.cos(params)
+    alpha = math.atan(target.r)
+    return (_full_matrix_gradient(RealLine(), alpha * np.sin(params))
+            * (alpha * np.cos(params)))
 
 
 class TestKernels:
@@ -210,6 +199,20 @@ class TestMinimize:
         bigger = minimize(Interval(2.0), 32, seed=7)
         assert bigger.energy >= result.energy - 1e-9
         assert bigger.energy <= analytic_energy(Interval(2.0))
+
+    @pytest.mark.parametrize("r", [10.0, 1e3, 1e6, 1e10, 1e15])
+    def test_wide_interval_recovers_equal_spacing(self, r):
+        # from r = tan(7 pi/16) the arc holds the 8 equally spaced angles
+        result = minimize(Interval(r), 8, seed=0)
+        assert result.converged
+        assert abs(result.energy - equally_spaced_energy(8)) <= 1e-9
+
+    def test_non_finite_start_raises(self):
+        # from r = 1e16 the start density divides by zero at psi = 0
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            minimize(Interval(1e16), 4)
+        with pytest.raises(FloatingPointError):
+            descend(RealLine(), np.array([0.1, math.nan, 0.5]), budget=10)
 
     def test_descent_is_monotone(self):
         rng = np.random.default_rng(17)
