@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import next_prime, prime_range, require_prime
-from .equilibrium import _half_log1p_sq
+from .equilibrium import Interval, analytic_energy
 from .heights import HALF_LOG2
 from .quadrature import QuadratureResult, adaptive_gauss_legendre
 
@@ -99,7 +99,7 @@ def lower_bound_interval(places: PlaceSet, r: float) -> BoundResult:
         raise ValueError("the interval refinement requires the archimedean place in S")
     if not 0 < r < math.inf:
         raise ValueError("r must be positive and finite")
-    base_value = 0.5 * (math.log(2.0) + _half_log1p_sq(r) - math.log(r))
+    base_value = 0.5 * analytic_energy(Interval(r))
     return _assemble("interval", base_value, r, places.primes)
 
 

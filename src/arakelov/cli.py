@@ -186,8 +186,7 @@ def _cmd_measure(args) -> Record:
             payload.append({"x": x, column: value})
         return Record(payload, [f"x,{column}"] + [
             f"{p['x']:.{args.digits}g},{_fmt(p[column], args.digits)}" for p in payload])
-    name = ("sphere" if args.sphere else
-            "real-line" if args.real_line else f"interval:{args.interval:g}")
+    name = eq.set_name(target)
     if args.energy:
         action, result = "energy", eq.energy(target, tol=tol)
     elif args.mass:

@@ -7,12 +7,13 @@ masses, potentials and energies numerically so the closed forms can be
 validated rather than assumed.
 
 Coordinate conventions: unbounded supports are compactified with x = tan(theta)
-(real line) and the radial substitution u = 1/(1+rho^2) (sphere); interval
-integrals use x = r*sin(psi), which absorbs the inverse square-root endpoint
-factor of the density.  Logarithmic kernel singularities are handled by
-splitting at the singular point and integrating each side with a tanh-sinh
-rule; interval integrals also split at psi = 0, where the density peaks with
-width about 1/r.
+(real line) and the radial substitution u = 1/(1+rho^2) (sphere).  The
+interval [-r, r] is the arc |theta| <= atan(r) of the real line, and in the
+chart x = r sin(t) / sqrt(1 + r^2 cos^2 t), t in [-pi/2, pi/2], where
+sin(theta) = k sin(t) with k = r/sqrt(1 + r^2), its equilibrium measure is
+dt/pi, as the real line's is dtheta/pi: every interval integral runs there.
+Logarithmic kernel singularities are handled by splitting at the singular
+point and integrating each side with a tanh-sinh rule.
 """
 from __future__ import annotations
 
@@ -54,6 +55,15 @@ class Interval:
 TargetSet = Sphere | RealLine | Interval
 
 
+def set_name(target: TargetSet) -> str:
+    """The name a target set goes by in output: sphere, real-line, interval:R."""
+    if isinstance(target, Sphere):
+        return "sphere"
+    if isinstance(target, RealLine):
+        return "real-line"
+    return f"interval:{target.r:g}"
+
+
 def _is_infinite(x) -> bool:
     z = complex(x)
     return math.isinf(z.real) or math.isinf(z.imag)
@@ -67,9 +77,7 @@ def analytic_energy(target: TargetSet) -> float:
         return math.log(2.0)
     if isinstance(target, Interval):
         r = target.r
-        if r > 1e150:  # r*r would overflow; sqrt(r*r + 1) is r to double precision
-            return math.log(2.0)
-        return math.log(2.0 * math.sqrt(r * r + 1.0) / r)
+        return math.log(2.0) - math.log(r / math.hypot(r, 1.0))
     raise TypeError(f"not a target set: {target!r}")
 
 
@@ -93,11 +101,8 @@ def density(target: TargetSet, x) -> float:
         r = target.r
         if not abs(xr) < r:
             raise ValueError(f"point {xr} outside the open interval (-{r}, {r})")
-        s = math.sqrt(r * r + 1.0) + 1.0
-        w = math.sqrt(r * r - xr * xr)
-        value = (s / (math.pi * w * (xr * xr + (s - w) ** 2))
-                 + s / (math.pi * w * (xr * xr + (s + w) ** 2)))
-        if not math.isfinite(value):  # r*r overflows from r = 1.3e154
+        value = float(_interval_density(r, xr, (r - abs(xr)) / r, 1.0 + abs(xr) / r))
+        if not math.isfinite(value):  # beyond double range, as from r = 1e-309 down
             raise FloatingPointError(f"interval density at r = {r:g} is not finite")
         return value
     raise TypeError(f"not a target set: {target!r}")
@@ -110,19 +115,22 @@ def _require_real(x) -> float:
     return z.real
 
 
-def _even_interval_integral(f, tol: float, max_doublings: int = 11) -> QuadratureResult:
-    """Integral over [-pi/2, pi/2] of an f even in psi: Gauss-Legendre on
-    [0, pi/2], doubled, so the density peak at psi = 0 is a panel endpoint."""
-    half = adaptive_gauss_legendre(f, 0.0, np.pi / 2, tol / 2, max_doublings=max_doublings)
-    return QuadratureResult(2.0 * half.value, 2.0 * half.est_error, half.evaluations)
+def _interval_density(r: float, x, near, far):
+    """sqrt(1 + r^2) / (pi (1 + x^2) sqrt(r^2 near far)), near = 1 - |x|/r and far =
+    1 + |x|/r, divided in an order that overflows only where the value does."""
+    hx = np.hypot(1.0, x)
+    return math.hypot(1.0, r) / np.pi / r / np.sqrt(near) / np.sqrt(far) / hx / hx
 
 
-def _interval_psi_density(r: float, psi):
-    """Interval density against d(psi) under x = r*sin(psi); smooth on [-pi/2, pi/2]."""
-    s = math.sqrt(r * r + 1.0) + 1.0
-    x = r * np.sin(psi)
-    c = r * np.cos(psi)
-    return s / np.pi * (1.0 / (x * x + (s - c) ** 2) + 1.0 / (x * x + (s + c) ** 2))
+def _interval_x(r: float, t):
+    """The point x(t) = r sin(t) / sqrt(1 + r^2 cos^2 t) of [-r, r]."""
+    return r * np.sin(t) / np.hypot(1.0, r * np.cos(t))
+
+
+def _interval_t(r: float, x: float) -> float:
+    """The chart angle of x in [-r, r]: sin t = x sqrt(1 + r^2) / (r sqrt(1 + x^2))."""
+    s = x / r * (math.hypot(1.0, r) / math.hypot(1.0, x))
+    return math.asin(max(-1.0, min(1.0, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +152,16 @@ def mass(target: TargetSet, tol: float = 1e-9) -> QuadratureResult:
             return (1.0 / (np.pi * (1.0 + x * x))) / np.cos(theta) ** 2
         return adaptive_gauss_legendre(f, -np.pi / 2, np.pi / 2, tol)
     if isinstance(target, Interval):
-        r = target.r
-        return _even_interval_integral(lambda psi: _interval_psi_density(r, psi), tol)
+        r, big_h = target.r, math.hypot(1.0, target.r)
+
+        def f(t):
+            c, s = r * np.cos(t), np.abs(np.sin(t))
+            h = np.hypot(1.0, c)
+            # 1 - |x|/r = (h - s)/h = (1 + r^2) cos^2 t / (h (h + s)), free of cancellation
+            near = (big_h * np.cos(t) / h) * (big_h * np.cos(t) / (h + s))
+            dxdt = c / h * (big_h / h) ** 2  # r(1+r^2)cos t/(1+r^2 cos^2 t)^(3/2)
+            return _interval_density(r, _interval_x(r, t), near, (h + s) / h) * dxdt
+        return adaptive_gauss_legendre(f, -np.pi / 2, np.pi / 2, tol)
     raise TypeError(f"not a target set: {target!r}")
 
 
@@ -233,34 +249,38 @@ def _sphere_log_part(x: complex, tol: float) -> QuadratureResult:
 
 
 def _interval_potential(r: float, x, tol: float) -> QuadratureResult:
-    # every split includes psi = 0, where the density peaks with width ~ 1/r
+    # in the t chart the measure is dt/pi, the chordal distance from tan(theta)
+    # to z is |z cos(theta) - sin(theta)| / sqrt(1 + |z|^2), and with
+    # H = sqrt(1 + r^2): sin(theta) = k sin t, cos(theta) = sqrt(1 + r^2 cos^2 t) / H
+    big_h = math.hypot(1.0, r)
+    k = r / big_h
+
+    def cos_theta(t):
+        return np.hypot(1.0, r * np.cos(t)) / big_h
+
     if _is_infinite(x):
-        def f(psi):
-            y = r * np.sin(psi)
-            return _interval_psi_density(r, psi) * 0.5 * np.log1p(y * y)
-        return _even_interval_integral(f, tol)
+        return tanh_sinh(lambda t: -np.log(cos_theta(t)) / np.pi, -np.pi / 2, np.pi / 2, tol)
     z = complex(x)
     if z.imag == 0.0 and abs(z.real) <= r:
-        xr = z.real
-        psi_x = math.asin(max(-1.0, min(1.0, xr / r)))
+        t_x = _interval_t(r, z.real)
+        s_x, h_x = math.sin(t_x), math.hypot(1.0, r * math.cos(t_x))
 
-        def f(psi):
-            y = r * np.sin(psi)
-            p = _interval_psi_density(r, psi)
-            # |x - y| = 2r|cos((psi+psi_x)/2) sin((psi-psi_x)/2)|, stable near psi_x
-            dist = 2.0 * r * np.abs(np.cos(0.5 * (psi + psi_x))
-                                    * np.sin(0.5 * (psi - psi_x)))
-            return p * (-np.log(dist) + 0.5 * math.log1p(xr * xr)
-                        + 0.5 * np.log1p(y * y))
-        return split_singular(f, -np.pi / 2, np.pi / 2, (0.0, psi_x), tol)
+        def f(t):
+            s_t, h_t = np.sin(t), np.hypot(1.0, r * np.cos(t))
+            # sin(theta_x - theta): where the two terms share a sign, as
+            # (sin^2 theta_x - sin^2 theta) / (sin theta_x cos theta + cos theta_x sin theta)
+            same = s_t * s_x > 0.0
+            near = (r * np.sin(t_x - t) * np.sin(t_x + t)
+                    / np.where(same, s_x * h_t + s_t * h_x, 1.0))
+            far = k / big_h * (s_x * h_t - h_x * s_t)
+            return -np.log(np.abs(np.where(same, near, far))) / np.pi
+        return split_singular(f, -np.pi / 2, np.pi / 2, t_x, tol)
 
-    def g(psi):
-        y = r * np.sin(psi)
-        p = _interval_psi_density(r, psi)
-        return p * (-np.log(np.abs(z - y)) + _half_log1p_sq(abs(z))
-                    + 0.5 * np.log1p(y * y))
-    # near the cut the kernel is nearly singular at Re z: split there too
-    cuts = (0.0, math.asin(z.real / r)) if abs(z.real) <= r else 0.0
+    def g(t):
+        return (-np.log(np.abs(z * cos_theta(t) - k * np.sin(t)))
+                + _half_log1p_sq(abs(z))) / np.pi
+    # near the cut the kernel is nearly singular at Re z: split there
+    cuts = _interval_t(r, z.real) if abs(z.real) <= r else ()
     return split_singular(g, -np.pi / 2, np.pi / 2, cuts, tol)
 
 
@@ -270,15 +290,13 @@ def _interval_potential(r: float, x, tol: float) -> QuadratureResult:
 
 
 def energy(target: TargetSet, tol: float = 1e-8,
-           cross_tol: float | None = None) -> QuadratureResult:
+           cross_tol: float = 1e-6) -> QuadratureResult:
     """Minimal energy, evaluated two ways and reconciled.
 
     The reported value is the potential at a support point (the potential is
     constant on the support); the full double integral is recomputed as an
     independent cross-check and a disagreement beyond ``cross_tol`` raises.
     """
-    if cross_tol is None:
-        cross_tol = 1e-5 if isinstance(target, Interval) else 1e-6
     single = _energy_single(target, tol)
     double = _energy_double(target, tol, cross_tol)
     gap = abs(single.value - double.value)
@@ -296,11 +314,10 @@ def _energy_single(target: TargetSet, tol: float) -> QuadratureResult:
 
 def _energy_double(target: TargetSet, tol: float,
                    cross_tol: float) -> QuadratureResult:
-    """Outer Gauss-Legendre rule on the potential against the measure: n = 16 to
-    256 on an interval, whose density peak narrows as 1/r, and 16 to 128 elsewhere.
-
-    ``evaluations`` counts the inner ones; refuses when the last n is not converged.
-    """
+    """Outer Gauss-Legendre rule, n = 16 to 128, on the potential against the
+    measure: in u on the sphere, in the angle of measure dt/pi on the real line
+    (x = tan t) and on an interval (the arc chart).  ``evaluations`` counts the
+    inner ones; refuses when the last n is not converged."""
     inner_tol = tol / 4
     evals = 0
 
@@ -310,19 +327,14 @@ def _energy_double(target: TargetSet, tol: float,
         evals += sum(p.evaluations for p in inner)
         return np.array([p.value for p in inner])
 
-    if isinstance(target, Interval):
-        r = target.r
-
-        def f(psi):
-            return _interval_psi_density(r, psi) * potentials(r * np.sin(psi))
-        outer = _even_interval_integral(f, cross_tol / 4, max_doublings=4)
-    elif isinstance(target, Sphere):
+    if isinstance(target, Sphere):
         def f(u):
             return potentials(np.sqrt(1.0 / u - 1.0))
         outer = adaptive_gauss_legendre(f, 0.0, 1.0, cross_tol / 4, max_doublings=3)
     else:
         def f(t):
-            return potentials(np.tan(t)) / np.pi
+            xs = _interval_x(target.r, t) if isinstance(target, Interval) else np.tan(t)
+            return potentials(xs) / np.pi
         outer = adaptive_gauss_legendre(f, -np.pi / 2, np.pi / 2, cross_tol / 4,
                                         max_doublings=3)
     return QuadratureResult(outer.value, outer.est_error, evals)
@@ -367,15 +379,11 @@ def green_interval(z, r: float) -> float:
     return max(0.0, math.log(abs(exterior_map(z, r))))
 
 
-def harmonic_measure_interval(r: float, a: float, b: float,
-                              tol: float = 1e-9) -> QuadratureResult:
-    """Harmonic measure (seen from i) of [a, b] inside [-r, r]."""
+def harmonic_measure_interval(r: float, a: float, b: float) -> QuadratureResult:
+    """Harmonic measure (seen from i) of [a, b] in [-r, r]: (t_b - t_a)/pi in the arc chart."""
     if not (-r <= a < b <= r):
         raise ValueError(f"need -r <= a < b <= r, got a={a}, b={b}, r={r}")
-    lo = math.asin(max(-1.0, min(1.0, a / r)))
-    hi = math.asin(max(-1.0, min(1.0, b / r)))
-    return split_singular(lambda psi: _interval_psi_density(r, psi),
-                          lo, hi, min(max(0.0, lo), hi), tol)
+    return QuadratureResult((_interval_t(r, b) - _interval_t(r, a)) / math.pi, 0.0, 0)
 
 
 def energy_via_balayage(r: float, tol: float = 1e-8) -> QuadratureResult:

@@ -6,7 +6,7 @@ angles on the sphere, tan angles theta on the real projective line, where the
 chordal distance is |sin(theta - phi)|, and on an interval [-r, r], the arc
 theta = atan(r)*sin(t) of that line, angles t mapped onto the real-line
 kernels.  The optimizer is plain gradient descent with Armijo backtracking,
-restarted from samples of the analytic equilibrium density.
+restarted from exact samples of the equilibrium measure.
 
 The two energy kernels (sphere, real line) evaluate the chordal kernel on the
 n(n-1)/2 point pairs only (their indices cached per n); each has one gradient
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import (Interval, RealLine, Sphere, TargetSet,
-                          _interval_psi_density, analytic_energy)
+                          analytic_energy, set_name)
 
 
 @dataclass
@@ -44,13 +44,7 @@ class PointConfiguration:
         return len(self.params) // 2 if isinstance(self.set, Sphere) else len(self.params)
 
     def to_json_dict(self) -> dict:
-        if isinstance(self.set, Sphere):
-            set_name = "sphere"
-        elif isinstance(self.set, RealLine):
-            set_name = "real-line"
-        else:
-            set_name = f"interval:{self.set.r:g}"
-        return {"set": set_name, "n": self.n,
+        return {"set": set_name(self.set), "n": self.n,
                 "params": [float(v) for v in self.params],
                 "energy": self.energy, "iterations": self.iterations,
                 "converged": self.converged}
@@ -153,12 +147,10 @@ def _initial_params(target: TargetSet, n: int, rng: np.random.Generator) -> np.n
         az = 2.0 * np.pi * rng.random(n)
         pol = np.arccos(1.0 - 2.0 * rng.random(n))
         return np.concatenate([az, pol])
-    grid = np.linspace(-np.pi / 2, np.pi / 2, 4097)
-    pdf = _interval_psi_density(target.r, grid)
-    cdf = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(grid))])
-    cdf /= cdf[-1]
-    x = target.r * np.sin(np.interp(rng.random(n), cdf, grid))
-    return np.arcsin(np.arctan(x) / np.arctan(target.r))
+    # the equilibrium measure is dt/pi in the arc chart sin(theta) = r sin(t) / sqrt(1 + r^2)
+    r, t = target.r, np.pi * (rng.random(n) - 0.5)
+    theta = np.arctan2(r * np.sin(t), np.hypot(1.0, r * np.cos(t)))
+    return np.arcsin(np.clip(theta / np.arctan(r), -1.0, 1.0))
 
 
 def _canonicalize(target: TargetSet, params: np.ndarray) -> np.ndarray:

@@ -170,7 +170,7 @@ def check_real_line_measure() -> CheckResult:
 def check_interval_measures() -> CheckResult:
     lines = []
     passed = True
-    for r in (0.5, 1.0, 2.0, 5.0):
+    for r in (0.5, 1.0, 2.0, 5.0, 600.0, 1e6):
         target = eq.analytic_energy(eq.Interval(r))
         e = eq.energy(eq.Interval(r), tol=1e-8)
         m = eq.mass(eq.Interval(r), tol=1e-9)

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -272,24 +271,34 @@ def _strict_json(text):
 
 class TestWideIntervals:
     def test_fekete_converges_to_equal_spacing(self, capsys):
-        code, out = run_cli(capsys, "fekete", "--interval", "1e10", "--n", "8",
-                            "--format", "json")
-        assert code == 0
-        payload = _strict_json(out)
-        assert payload["converged"] is True
-        assert abs(payload["energy"] - (math.log(2) - math.log(8) / 7)) <= 1e-9
-        assert payload["analytic_limit"] == math.log(2)
+        for r, n in (("1e10", 8), ("1e16", 4)):
+            code, out = run_cli(capsys, "fekete", "--interval", r, "--n", str(n),
+                                "--format", "json")
+            assert code == 0
+            payload = _strict_json(out)
+            assert payload["converged"] is True
+            assert abs(payload["energy"] - (math.log(2) - math.log(n) / (n - 1))) <= 1e-9
+            assert payload["analytic_limit"] == math.log(2)
+
+    def test_density_past_the_overflow_of_r_squared(self, capsys):
+        for r in ("1e200", "1.7e308"):
+            code, out = run_cli(capsys, "measure", "--interval", r,
+                                "--density-grid", "3", "--format", "json")
+            assert code == 0
+            middle = _strict_json(out)[1]
+            assert middle["x"] == 0.0
+            assert middle["density"] == pytest.approx(1 / math.pi, rel=1e-15)
 
     @pytest.mark.parametrize("argv, want", [
-        (["fekete", "--interval", "1e16", "--n", "4"], 3),
+        (["fekete", "--interval", "1e-320", "--n", "4"], 3),  # subnormal half-width
         (["fekete", "--interval", "inf", "--n", "4"], 2),
         (["bounds", "--places", "inf", "--r", "inf"], 2),
         (["bounds", "--places", "inf", "--r", "nan"], 2),
-        (["measure", "--interval", "1e200", "--density-grid", "3"], 3),
+        # the density 1/(pi r) at x = 0 is beyond double range
+        (["measure", "--interval", "1e-320", "--density-grid", "3"], 3),
     ])
     def test_refusals_exit_without_traceback(self, capsys, argv, want):
-        with np.errstate(all="ignore"):
-            code = main([*argv, "--format", "json"])
+        code = main([*argv, "--format", "json"])
         captured = capsys.readouterr()
         assert code == want
         assert captured.out == ""
@@ -344,7 +353,7 @@ class TestBudgets:
 
     @pytest.mark.parametrize("r", ["120", "150", "200"])
     def test_wide_interval_energy(self, capsys, r):
-        # the outer rule of the cross-check reaches n = 256 on intervals
+        # the measure is uniform in the arc chart, so the cross-check converges at any r
         code, out = run_cli(capsys, "measure", "--interval", r, "--energy",
                             "--format", "json")
         assert code == 0

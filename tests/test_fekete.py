@@ -200,7 +200,7 @@ class TestMinimize:
         assert bigger.energy >= result.energy - 1e-9
         assert bigger.energy <= analytic_energy(Interval(2.0))
 
-    @pytest.mark.parametrize("r", [10.0, 1e3, 1e6, 1e10, 1e15])
+    @pytest.mark.parametrize("r", [10.0, 1e3, 1e6, 1e10, 1e15, 1e16])
     def test_wide_interval_recovers_equal_spacing(self, r):
         # from r = tan(7 pi/16) the arc holds the 8 equally spaced angles
         result = minimize(Interval(r), 8, seed=0)
@@ -208,9 +208,6 @@ class TestMinimize:
         assert abs(result.energy - equally_spaced_energy(8)) <= 1e-9
 
     def test_non_finite_start_raises(self):
-        # from r = 1e16 the start density divides by zero at psi = 0
-        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
-            minimize(Interval(1e16), 4)
         with pytest.raises(FloatingPointError):
             descend(RealLine(), np.array([0.1, math.nan, 0.5]), budget=10)
 
