@@ -353,22 +353,23 @@ def _reject_on_cut(z: complex, r: float):
 def exterior_map(z, r: float) -> complex:
     """Map of the slit plane onto the exterior of the unit disk, infinity to infinity.
 
-    Branch chosen so the image modulus exceeds 1 off the cut.
+    sqrt(z - r) sqrt(z + r) has its cut exactly on [-r, r] and behaves like z
+    at infinity, so the image modulus exceeds 1 off the cut; unlike
+    sqrt(z^2 - r^2) it does not overflow for r beyond 1e154.
     """
     if not r > 0:
         raise ValueError("r must be positive")
     z = complex(z)
     _reject_on_cut(z, r)
-    xi = cmath.sqrt(z * z - r * r)
-    if abs(z + xi) < abs(z - xi):
-        xi = -xi
-    return (z + xi) / r
+    # both factors keep the sign of z.imag, zero included, so they share a branch
+    x, y = z.real, z.imag
+    return (z + cmath.sqrt(complex(x - r, y)) * cmath.sqrt(complex(x + r, y))) / r
 
 
 def conformal_map(z, r: float) -> complex:
     """Exterior map composed with the disk automorphism that sends i to infinity."""
     w = exterior_map(z, r)
-    w0 = 1j * (math.sqrt(r * r + 1.0) + 1.0) / r
+    w0 = 1j * (math.hypot(r, 1.0) + 1.0) / r
     if w == w0:
         return complex(math.inf, math.inf)
     return (w0.conjugate() * w - 1.0) / (w - w0)

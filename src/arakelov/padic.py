@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import fp_eval, fp_roots, require_prime
-from .polynomials import PrimitivePolynomial
+from .polynomials import PrimitivePolynomial, derivative
 
 
 def valuation(n: int, p: int) -> int:
@@ -137,16 +137,12 @@ def _count_in_branch(g: list[int], r: int, p: int, budget: int,
     """Roots of g in the disk r + pZ_p."""
     if fp_eval(g, r, p) != 0:
         return 0, True
-    if fp_eval(_deriv(g), r, p) != 0:
+    if fp_eval(derivative(g), r, p) != 0:
         return 1, True  # simple residue root: unique lift
     if depth >= budget:
         return 0, False
     h = _shift_and_rescale(g, r, p)
     return _count_in_zp(h, p, budget, depth + 1)
-
-
-def _deriv(g: list[int]) -> list[int]:
-    return [k * c for k, c in enumerate(g) if k >= 1]
 
 
 def _shift_and_rescale(g: list[int], r: int, p: int) -> list[int]:

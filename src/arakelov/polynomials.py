@@ -23,6 +23,11 @@ class NotSquarefreeError(ValueError):
     """Raised when an input polynomial has a repeated root."""
 
 
+def derivative(coeffs) -> tuple[int, ...]:
+    """Coefficients of the derivative, constant term first."""
+    return tuple(k * c for k, c in enumerate(coeffs) if k >= 1)
+
+
 def _exact_int(c) -> int:
     if isinstance(c, bool) or not hasattr(c, "__index__"):
         raise ValueError(f"coefficient {c!r} is not an integer")
@@ -89,7 +94,7 @@ class PrimitivePolynomial:
         return self.coeffs[-1]
 
     def derivative_coeffs(self) -> tuple[int, ...]:
-        return tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1)
+        return derivative(self.coeffs)
 
     def __call__(self, x):
         """Evaluate by Horner's rule; exact for int/Fraction arguments."""
@@ -282,7 +287,7 @@ def discriminant(f: PrimitivePolynomial) -> int:
 def _is_squarefree(coeffs: tuple[int, ...]) -> bool:
     # the modular certificate needs no resultant and so holds beyond the
     # budget; only when it fails is the exact resultant consulted
-    fp = tuple(k * c for k, c in enumerate(coeffs) if k >= 1)
+    fp = derivative(coeffs)
     p = _SQUAREFREE_PRIME
     if coeffs[-1] % p and len(fp_gcd(fp_trim(coeffs, p), fp_trim(fp, p), p)) == 1:
         return True

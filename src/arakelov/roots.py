@@ -9,13 +9,17 @@ radius pin down all d roots, one per disk.
   the circle of radius (|a_i| / |a_j|)^(1/(j - i)), where that many roots sit
   roughly (Bini, Numer. Algorithms 1996; Bini-Robol, J. Comput. Appl. Math.
   2014).  A zero constant term puts one start, and one root, at 0.
-- First rung: double precision, with a running-error bound on Horner's rule.
-- Second rung, for each disk the first leaves above ``tol`` or meeting
-  another: a double centre is a dyadic rational, so f and f' are evaluated
-  there exactly on the integer coefficients, Aberth sweeps on those exact
-  quotients move the centres, and a radius carries only the rounding of its
-  quotient and square root.  The sweeps start from the polygon circles when
-  the coefficients overflow a double, and again when a first pass fails.
+- One loop of Gauss-Seidel Aberth sweeps, ``_sweeps``, with two step kernels
+  that give a root's certified radius and Newton step f/f' at its centre.
+  Double: Horner's rule with a running-error bound.  Exact: a double centre
+  is a dyadic rational, so f and f' are evaluated there exactly on the
+  integer coefficients, and a radius carries only the rounding of its
+  quotient and square root.
+- Passes differ only in the stop rule.  Double sweeps run from the polygon
+  starts; a root takes its first step below 1e-14 |z| and stops at the next
+  evaluation, whose radius it keeps.  Exact sweeps then run over each disk
+  above ``tol`` or meeting another, and again from the polygon starts if
+  they fail or the coefficients overflow a double.
 """
 from __future__ import annotations
 
@@ -29,7 +33,6 @@ from .polynomials import PrimitivePolynomial
 
 _SWEEP_BUDGET = 200
 _ANGLE_OFFSET = 2.0 * math.pi * (math.sqrt(5) - 1) / 2  # irrational fraction of a turn
-_NAN = complex(math.nan, math.nan)
 _EPS = sys.float_info.epsilon
 _ROUNDING = 1.0 + 4.0 * _EPS  # covers the three roundings of an exact-rung radius
 _TINY = 5e-324  # smallest subnormal: covers the rounding of a subnormal radius
@@ -77,7 +80,8 @@ def complex_roots(f: PrimitivePolynomial, tol: float = 1e-12) -> CertifiedComple
 
 
 def _passes(coeffs: tuple[int, ...]):
-    """Centres and radii for the exact rung, in turn: the double rung's, then the polygon's."""
+    """Centres and radii for the exact rung, in turn: those of the double
+    sweeps from the polygon starts, then the polygon starts again."""
     d = len(coeffs) - 1
     if d == 1:
         try:
@@ -87,15 +91,17 @@ def _passes(coeffs: tuple[int, ...]):
         yield [root], [4.0 * _EPS * (1.0 + abs(root))]
         return  # the centre is already the nearest double
     try:
-        approx = _aberth(coeffs)
-    except OverflowError:  # coefficients or iterates beyond float range
-        pass
-    else:
-        yield _certify_double(coeffs, approx) or (approx, [math.inf] * d)
-    try:
         starts = _start_points(coeffs)
     except OverflowError:  # a circle beyond float range: no double centre is near
         return
+    try:
+        step_at = _double_step(coeffs)
+    except OverflowError:  # a coefficient beyond float range
+        pass
+    else:
+        centers, radii = list(starts), [math.inf] * d
+        _sweeps(centers, radii, range(d), step_at, _polished())
+        yield centers, radii
     yield starts, [math.inf] * d
 
 
@@ -150,126 +156,76 @@ def _start_points(coeffs: tuple[int, ...]) -> list[complex]:
             for lr, angle in _starts(coeffs)]
 
 
-def _aberth(coeffs: tuple[int, ...]) -> list[complex]:
-    """Aberth-Ehrlich in double precision: Jacobi sweeps from the polygon circles.
+def _sweeps(centers: list[complex], radii: list[float], active, step_at, stop) -> None:
+    """Gauss-Seidel Aberth sweeps, in place, over the roots in ``active``.
 
-    Scalar loops over Python complex values; at the degrees heights see, array
-    calls cost more in overhead than the arithmetic they do.  A division by
-    zero gives a non-finite step, which falls back to the Newton step or, if
-    that is not finite either, to a fixed nudge.  OverflowError (coefficients,
-    start radii or iterates beyond float range) propagates to the caller.
+    ``step_at(z)`` gives the certified radius at z and the Newton step f/f'
+    (None if there is none); ``stop(i, z, step)`` says whether root i stays
+    at z.  A root that moves is evaluated again, so every radius belongs to
+    the centre it ends with, or is inf if the budget ends the moves.  A move
+    beyond float range is not taken.
     """
-    lead = float(coeffs[-1])
-    c = [float(a) / lead for a in coeffs[:-1]]  # monic; the leading 1 is implicit
-    z = _start_points(coeffs)
-    nudge = complex(1e-3 * max(abs(v) for v in z))
-    for _ in range(_SWEEP_BUDGET):
-        moved = False
-        new = []
-        for i, zi in enumerate(z):
-            fz = 1 + 0j
-            fpz = 0j
-            for a in reversed(c):
-                fpz = fpz * zi + fz
-                fz = fz * zi + a
-            try:
-                newton = fz / fpz
-            except ZeroDivisionError:
-                newton = _NAN
-            try:
-                repulsion = 0j
-                for j, zj in enumerate(z):
-                    if j != i:
-                        repulsion += 1.0 / (zi - zj)
-                step = newton / (1.0 - newton * repulsion)
-            except ZeroDivisionError:
-                step = _NAN
-            if not cmath.isfinite(step):
-                step = newton if cmath.isfinite(newton) else nudge
-            zi -= step
-            new.append(zi)
-            moved = moved or abs(step) > 1e-14 * abs(zi)
-        z = new
-        if not moved:
-            break
-    return z
-
-
-def _certify_double(coeffs: tuple[int, ...],
-                    approx) -> tuple[list[complex], list[float]] | None:
-    """Certification in double precision with a rigorous evaluation-error bound.
-
-    Returns None when any coefficient is too large to round exactly to float
-    or |f(z)| overflows; a root whose derivative is swamped by rounding error
-    gets an infinite radius.  The exact rung takes over in both cases.
-    """
-    if any(abs(a) > 2 ** 53 for a in coeffs):
-        return None
-    d = len(coeffs) - 1
-    c = [float(a) for a in coeffs]
-    tail = c[-2::-1]
-    # running-error bound for complex Horner, with headroom over the real case
-    unit = (4.0 * d + 4.0) * _EPS
-    centers = [complex(v) for v in approx]
-    radii = []
-    try:
-        for z in centers:
-            az = abs(z)
-            fz = complex(c[-1])
-            fpz = 0j
-            mag = abs(c[-1])
-            magp = 0.0
-            for a in tail:
-                fpz = fpz * z + fz
-                fz = fz * z + a
-                magp = magp * az + mag
-                mag = mag * az + abs(a)
-            denom = abs(fpz) - unit * magp
-            radii.append(d * (abs(fz) + unit * mag) / denom + 4.0 * _EPS * (1.0 + az)
-                         if denom > 0.0 else math.inf)
-    except OverflowError:  # |f(z)| beyond float range
-        return None
-    return centers, radii
-
-
-def _certify_exact(coeffs: tuple[int, ...], centers: list[complex],
-                   radii: list[float], tol: float) -> bool:
-    """Second rung, in place: Gauss-Seidel Aberth sweeps on exactly evaluated
-    f/f' over every root whose disk is above ``tol`` or meets another disk;
-    True when all disks end certified.  A moved centre keeps its old radius
-    as a guide until the next sweep evaluates it.  A root stops when its step
-    leaves its centre unchanged or is below eps |z| once its disk is isolated
-    (eps |z| / 16 before, so that sub-ulp steps still part a close pair).
-    """
-    if _accept(centers, radii, tol):
-        return True
-    active = [i for i in range(len(centers)) if not _isolated(i, centers, radii, tol)]
     for _ in range(_SWEEP_BUDGET):
         moved = []
         for i in active:
             z = centers[i]
-            if not cmath.isfinite(z):
-                continue
-            radii[i], newton = _exact_step(coeffs, z)
+            radii[i], newton = step_at(z)
             if newton is None:
                 continue
             try:
-                repulsion = sum(1.0 / (z - w) for j, w in enumerate(centers) if j != i)
+                repulsion = 0j
+                for j, w in enumerate(centers):
+                    if j != i:
+                        repulsion += 1.0 / (z - w)
                 step = newton / (1.0 - newton * repulsion)
-            except ZeroDivisionError:
-                step = _NAN
+            except ZeroDivisionError:  # two centres coincide
+                step = newton
             if not cmath.isfinite(step):
                 step = newton
-            still = _EPS * abs(z) * (1.0 if _isolated(i, centers, radii, tol) else 0.0625)
-            if z - step == z or abs(step) <= still:
+            if stop(i, z, step):
                 continue
-            centers[i] = z - step
-            moved.append(i)
+            z -= step
+            if cmath.isfinite(z):
+                centers[i] = z
+                moved.append(i)
         active = moved
         if not active:
             break
     for i in active:  # moved by the last sweep the budget allows: never evaluated
         radii[i] = math.inf
+
+
+def _polished():
+    """Double-pass stop rule: after its first step below 1e-14 |z| a root is
+    evaluated once more, for its radius only."""
+    last = set()
+
+    def stop(i: int, z: complex, step: complex) -> bool:
+        if i in last:
+            return True
+        if abs(step) <= 1e-14 * abs(z):
+            last.add(i)
+        return False
+    return stop
+
+
+def _certify_exact(coeffs: tuple[int, ...], centers: list[complex],
+                   radii: list[float], tol: float) -> bool:
+    """Second rung, in place: exact sweeps over every root whose disk is above
+    ``tol`` or meets another disk; True when all disks end certified.  A root
+    stops when its step leaves its centre unchanged or is below eps |z| once
+    its disk is isolated (eps |z| / 16 before, so that sub-ulp steps still
+    part a close pair).
+    """
+    if _accept(centers, radii, tol):
+        return True
+
+    def still(i: int, z: complex, step: complex) -> bool:
+        scale = 1.0 if _isolated(i, centers, radii, tol) else 0.0625
+        return z - step == z or abs(step) <= _EPS * abs(z) * scale
+
+    active = [i for i in range(len(centers)) if not _isolated(i, centers, radii, tol)]
+    _sweeps(centers, radii, active, lambda z: _exact_step(coeffs, z), still)
     return _accept(centers, radii, tol)
 
 
@@ -278,6 +234,47 @@ def _isolated(i: int, centers: list[complex], radii: list[float], tol: float) ->
     r, z = radii[i], centers[i]
     return r <= tol and all(abs(z - w) > r + radii[j]
                             for j, w in enumerate(centers) if j != i)
+
+
+def _double_step(coeffs: tuple[int, ...]):
+    """The double-precision step kernel: Horner's rule with a running-error
+    bound.  The radius is inf when a coefficient exceeds 2^53 (so is not a
+    double), rounding swamps f'(z) or |f(z)| overflows; OverflowError for a
+    coefficient beyond float range.
+
+    A root keeps only the radius of its last evaluation, once its steps are
+    below 1e-14 |z|, so the bound is skipped (radius inf) while the Newton
+    step is above 2^-26 |z|: that saves most of its cost.
+    """
+    d = len(coeffs) - 1
+    lead = complex(coeffs[-1])
+    tail = [float(a) for a in coeffs[-2::-1]]
+    abs_tail = [abs(a) for a in tail]
+    all_doubles = all(abs(a) <= 2 ** 53 for a in coeffs)
+    # running-error bound for complex Horner, with headroom over the real case
+    unit = (4.0 * d + 4.0) * _EPS
+
+    def step_at(z: complex) -> tuple[float, complex | None]:
+        fz, fpz = lead, 0j
+        for a in tail:
+            fpz = fpz * z + fz
+            fz = fz * z + a
+        try:
+            newton = fz / fpz
+            az = abs(z)
+            if not abs(newton) <= 2.0 ** -26 * az:  # far from a root, or not finite
+                return math.inf, newton if cmath.isfinite(newton) else None
+            mag, magp = lead.real, 0.0  # the leading coefficient is positive
+            for a in abs_tail:
+                magp = magp * az + mag
+                mag = mag * az + a
+            denom = abs(fpz) - unit * magp
+            radius = (d * (abs(fz) + unit * mag) / denom + 4.0 * _EPS * (1.0 + az)
+                      if all_doubles and denom > 0.0 else math.inf)
+        except (ZeroDivisionError, OverflowError):  # f'(z) = 0, or a modulus beyond float range
+            return math.inf, None
+        return (radius if radius < math.inf else math.inf), newton  # NaN once Horner overflows
+    return step_at
 
 
 def _exact_step(coeffs: tuple[int, ...], z: complex) -> tuple[float, complex | None]:

@@ -318,3 +318,12 @@ class TestBalayage:
         assert all(b < a for a, b in zip(values, values[1:]))
         assert all(v > math.log(2) for v in values)
         assert values[-1] == pytest.approx(math.log(2), abs=1e-3)
+
+    @pytest.mark.parametrize("r", [1e160, 1e200])
+    def test_slits_past_the_overflow_of_r_squared(self, r):
+        # z^2 - r^2 overflows from r of about 1.3e154; the factored root does not
+        assert math.isfinite(green_interval(1j, r))
+        image = conformal_map(1 + 1j, r)
+        assert math.isfinite(image.real) and math.isfinite(image.imag)
+        result = energy_via_balayage(r)
+        assert abs(result.value - math.log(2)) <= result.est_error + 1e-12

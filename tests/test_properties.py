@@ -52,9 +52,16 @@ def test_every_root_in_exactly_one_certified_disk(f):
 
 
 def _exact_rung_only(f, tol):
-    """complex_roots with the double-precision rung switched off."""
+    """complex_roots with no double-precision radius: the double kernel still
+    steps, so the exact rung starts from double centres, but certifies alone."""
+    double_step = roots._double_step
+
+    def uncertified(coeffs):
+        step_at = double_step(coeffs)
+        return lambda z: (math.inf, step_at(z)[1])
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(roots, "_certify_double", lambda coeffs, approx: None)
+        patch.setattr(roots, "_double_step", uncertified)
         return complex_roots(f, tol)
 
 

@@ -9,6 +9,7 @@ import pytest
 from arakelov import roots
 from arakelov.polynomials import PrimitivePolynomial, cyclotomic_polynomial, parse_polynomial
 from arakelov.roots import RootFindingError, _starts, complex_roots
+from arakelov.verification import random_primitive_corpus
 
 from test_polynomials import random_polys
 
@@ -175,15 +176,34 @@ class TestHardInputs:
         assert time.perf_counter() - start < 3.0
 
 
-    @pytest.mark.parametrize("budget", [1, 2, 3, 5])
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 200])
     def test_a_radius_belongs_to_the_centre_it_ends_with(self, monkeypatch, budget):
-        # sweeps cut short by the budget leave no radius of an earlier centre
+        # sweeps cut short by the budget leave no radius of an earlier centre,
+        # in the double pass and in the exact one
         monkeypatch.setattr(roots, "_SWEEP_BUDGET", budget)
         coeffs = _mignotte(8, 1000).coeffs
+        centers, radii = next(roots._passes(coeffs))
+        double_step = roots._double_step(coeffs)
+        assert all(r == math.inf or r == double_step(z)[0] for z, r in zip(centers, radii))
         centers, radii = roots._start_points(coeffs), [math.inf] * 8
         roots._certify_exact(coeffs, centers, radii, 1e-12)
         assert all(r == math.inf or r == roots._exact_step(coeffs, z)[0]
                    for z, r in zip(centers, radii))
+
+
+def test_exact_rung_traffic_on_the_seed_0_corpus(monkeypatch):
+    # 251 of the 10 000 inputs need an exact evaluation; more would mean that
+    # the double pass leaves its centres less polished
+    calls = []
+    exact_step = roots._exact_step
+    monkeypatch.setattr(roots, "_exact_step",
+                        lambda coeffs, z: calls.append(z) or exact_step(coeffs, z))
+    reached = 0
+    for f in random_primitive_corpus(0, 10000):
+        calls.clear()
+        complex_roots(f)
+        reached += bool(calls)
+    assert 0 < reached <= 251
 
 
 def test_no_module_imports_mpmath():
