@@ -1,16 +1,26 @@
 """Discrete chordal-energy minimization (Fekete-style point configurations).
 
-Free points live in unconstrained angle coordinates chosen per target set so
-the chordal kernel is smooth and boundary handling disappears: spherical
-angles on the sphere, tan angles theta on the real projective line, where the
-chordal distance is |sin(theta - phi)|, and on an interval [-r, r], the arc
+Free points live in coordinates chosen per target set so the chordal kernel
+is smooth everywhere and boundary handling disappears: on the sphere the N
+unit vectors u of R^3, held as 3N numbers (the x, y and z rows), where the
+chordal distance is |u - v|/2; tan angles theta on the real projective line,
+where it is |sin(theta - phi)|; and on an interval [-r, r], the arc
 theta = atan(r)*sin(t) of that line, angles t mapped onto the real-line
-kernels.  The optimizer is plain gradient descent with Armijo backtracking,
-restarted from exact samples of the equilibrium measure.
+kernels.  The sphere energy normalises its points itself, so its gradient,
+the Euclidean pair gradient projected onto the tangent planes, has no pole
+singularity and is exact at any nonzero vectors.  Sphere results are
+reported as azimuths and polar angles.
+
+The optimizer is gradient descent with a Barzilai-Borwein trial step and
+Armijo backtracking (one loop, ``descend``), restarted from exact samples of
+the equilibrium measure.  Each trial point is retracted onto its chart
+before its energy is taken: rows normalised on the sphere, unchanged on the
+line and intervals (Wen-Yin, Math. Program. 2013).
 
 The two energy kernels (sphere, real line) evaluate the chordal kernel on the
-n(n-1)/2 point pairs only (their indices cached per n); each has one gradient
-kernel.  An accepted step keeps the energy its Armijo test computed, so an
+n(n-1)/2 point pairs only (their indices cached per n), and return the pair
+data their one gradient kernel reuses at the same point.  An accepted step
+keeps the energy its Armijo test computed and the pair data it left, so an
 iteration evaluates the gradient once and the energy only at trial points.
 """
 from __future__ import annotations
@@ -62,68 +72,93 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _sphere_vectors(params: np.ndarray):
-    """Coordinates (x, y, z) of the points, and (sin, cos) of azimuth and polar angle."""
-    n = len(params) // 2
-    sa, ca, sp, cp = np.sin(params[:n]), np.cos(params[:n]), np.sin(params[n:]), np.cos(params[n:])
-    return (sp * ca, sp * sa, cp), (sa, ca, sp, cp)
-
-
-def _energy(target: TargetSet, params: np.ndarray) -> float:
-    """Discrete energy from the n(n-1)/2 pair distances; +inf at coincident points."""
-    if isinstance(target, RealLine):
-        n = len(params)
-        i, j = _pairs(n)
-        s = np.abs(np.sin(params[i] - params[j]))
-        return float(-2.0 * np.log(s).sum() * _pair_scale(n)) + 0.0
-    if isinstance(target, Sphere):
-        (x, y, z), _ = _sphere_vectors(params)
-        n = len(x)
-        i, j = _pairs(n)
-        dx, dy, dz = x[i] - x[j], y[i] - y[j], z[i] - z[j]
-        dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-        return float(-2.0 * np.log(dist / 2.0).sum() * _pair_scale(n)) + 0.0
-    if isinstance(target, Interval):
-        return _energy(RealLine(), math.atan(target.r) * np.sin(params))
-    raise TypeError(f"not a target set: {target!r}")
-
-
-def _gradient(target: TargetSet, params: np.ndarray) -> np.ndarray:
-    """Gradient of ``_energy`` with respect to ``params``."""
+def _evaluate(target: TargetSet, params: np.ndarray) -> tuple[float, tuple]:
+    """Discrete energy from the n(n-1)/2 pair distances (+inf at coincident
+    points), and the pair data its gradient reuses at the same params."""
     if isinstance(target, RealLine):
         n = len(params)
         i, j = _pairs(n)
         d = params[i] - params[j]
-        c = np.cos(d) / np.sin(d)
+        s = np.sin(d)
+        return float(-2.0 * np.log(np.abs(s)).sum() * _pair_scale(n)) + 0.0, (d, s)
+    if isinstance(target, Sphere):
+        x = params.reshape(3, -1)
+        norms = np.sqrt((x * x).sum(axis=0))
+        u = x / norms
+        n = len(norms)
+        i, j = _pairs(n)
+        diff = u.take(i, axis=1) - u.take(j, axis=1)
+        d2 = (diff * diff).sum(axis=0)
+        # -2 log(|u_i - u_j| / 2) = -log(|u_i - u_j|^2 / 4)
+        return float(-np.log(d2 / 4.0).sum() * _pair_scale(n)) + 0.0, (u, norms)
+    if isinstance(target, Interval):
+        return _evaluate(RealLine(), math.atan(target.r) * np.sin(params))
+    raise TypeError(f"not a target set: {target!r}")
+
+
+def _energy(target: TargetSet, params: np.ndarray) -> float:
+    """Discrete energy of the descent parameters."""
+    return _evaluate(target, params)[0]
+
+
+def _gradient(target: TargetSet, params: np.ndarray, pairs: tuple | None = None) -> np.ndarray:
+    """Gradient of ``_energy`` with respect to ``params``, from the pair data
+    ``_evaluate`` returned at ``params`` (computed here if not given)."""
+    if pairs is None:
+        pairs = _evaluate(target, params)[1]
+    if isinstance(target, RealLine):
+        n = len(params)
+        i, j = _pairs(n)
+        d, s = pairs
+        c = np.cos(d) / s
         # cos is even and sin odd, so cot(p_j - p_i) is exactly -cot(p_i - p_j)
         cot = np.zeros(n * n)
         cot[i * n + j] = c
         cot[j * n + i] = -c
         return -2.0 * _pair_scale(n) * cot.reshape(n, n).sum(axis=1)
     if isinstance(target, Sphere):
-        (x, y, z), (sa, ca, sp, cp) = _sphere_vectors(params)
-        n = len(x)
-        # column i of each matrix holds u_i - u_j over j, summed in j order
-        dx, dy, dz = x - x[:, None], y - y[:, None], z - z[:, None]
-        d2 = dx * dx + dy * dy + dz * dz
+        u, norms = pairs
+        n = len(norms)
+        # diff[:, i, j] = u_i - u_j; the n x n form sums faster than a scatter of the pairs
+        diff = u[:, :, None] - u[:, None, :]
+        d2 = (diff * diff).sum(axis=0)
         np.fill_diagonal(d2, 1.0)
         # dE/du_i = -2s * sum_j (u_i - u_j)/|u_i - u_j|^2
-        scale = -2.0 * _pair_scale(n)
-        gx = scale * (dx / d2).sum(axis=0)
-        gy = scale * (dy / d2).sum(axis=0)
-        gz = scale * (dz / d2).sum(axis=0)
-        return np.concatenate([gx * (-sp * sa) + gy * (sp * ca),
-                               gx * (cp * ca) + gy * (cp * sa) + gz * -sp])
+        f = -2.0 * _pair_scale(n) * (diff / d2).sum(axis=2)
+        # the energy sees only x/|x|: project onto the tangent plane at u, scale by 1/|x|.
+        # The first projection leaves a radial rounding of about eps |f|, large
+        # against a small tangent part; the second leaves about eps |g|.
+        f = f - (u * f).sum(axis=0) * u
+        f = f - (u * f).sum(axis=0) * u
+        return (f / norms).ravel()
     if isinstance(target, Interval):
         alpha = math.atan(target.r)
-        return _gradient(RealLine(), alpha * np.sin(params)) * (alpha * np.cos(params))
+        return _gradient(RealLine(), alpha * np.sin(params), pairs) * (alpha * np.cos(params))
     raise TypeError(f"not a target set: {target!r}")
+
+
+def _retract(target: TargetSet, params: np.ndarray) -> np.ndarray:
+    """Map a descent point back onto its chart: unit rows on the sphere."""
+    if isinstance(target, Sphere):
+        x = params.reshape(3, -1)
+        return (x / np.sqrt((x * x).sum(axis=0))).ravel()
+    return params
+
+
+def _angles_to_vectors(params: np.ndarray) -> np.ndarray:
+    """Descent parameters (x, y, z rows) of N azimuths then N polar angles."""
+    az, pol = np.split(params, 2)
+    sp = np.sin(pol)
+    return np.concatenate([sp * np.cos(az), sp * np.sin(az), np.cos(pol)])
 
 
 def discrete_energy(config: PointConfiguration) -> float:
     """Mean pairwise -log chordal distance; rejects coincident points."""
+    params = np.asarray(config.params, dtype=float)
+    if isinstance(config.set, Sphere):
+        params = _angles_to_vectors(params)
     with np.errstate(divide="ignore"):
-        value = _energy(config.set, np.asarray(config.params, dtype=float))
+        value = _energy(config.set, params)
     if not math.isfinite(value):
         raise ValueError("configuration contains coincident points (infinite energy)")
     return value
@@ -144,9 +179,11 @@ def _initial_params(target: TargetSet, n: int, rng: np.random.Generator) -> np.n
     if isinstance(target, RealLine):
         return np.pi * (rng.random(n) - 0.5)
     if isinstance(target, Sphere):
+        # uniform on the sphere: azimuth and height z = cos(polar) uniform
         az = 2.0 * np.pi * rng.random(n)
-        pol = np.arccos(1.0 - 2.0 * rng.random(n))
-        return np.concatenate([az, pol])
+        z = 1.0 - 2.0 * rng.random(n)
+        rho = np.sqrt((1.0 - z) * (1.0 + z))
+        return np.concatenate([rho * np.cos(az), rho * np.sin(az), z])
     # the equilibrium measure is dt/pi in the arc chart sin(theta) = r sin(t) / sqrt(1 + r^2)
     r, t = target.r, np.pi * (rng.random(n) - 0.5)
     theta = np.arctan2(r * np.sin(t), np.hypot(1.0, r * np.cos(t)))
@@ -156,22 +193,24 @@ def _initial_params(target: TargetSet, n: int, rng: np.random.Generator) -> np.n
 def _canonicalize(target: TargetSet, params: np.ndarray) -> np.ndarray:
     if isinstance(target, RealLine):
         return np.mod(params, np.pi)
-    if isinstance(target, Sphere):
-        n = len(params) // 2
-        az, pol = params[:n].copy(), np.mod(params[n:], 2.0 * np.pi)
-        flip = pol > np.pi
-        pol[flip] = 2.0 * np.pi - pol[flip]
-        az[flip] += np.pi
-        return np.concatenate([np.mod(az, 2.0 * np.pi), pol])
+    if isinstance(target, Sphere):  # unit vectors to azimuths then polar angles
+        x, y, z = params.reshape(3, -1)
+        return np.concatenate([np.mod(np.arctan2(y, x), 2.0 * np.pi),
+                               np.arctan2(np.hypot(x, y), z)])
     return np.arcsin(np.sin(params))
 
 
 def descend(target: TargetSet, params: np.ndarray, budget: int,
             grad_tol: float = 1e-10,
             trace: list | None = None) -> tuple[np.ndarray, float, int, bool]:
-    """Armijo-backtracking gradient descent; every accepted step decreases energy."""
-    params = np.asarray(params, dtype=float).copy()
-    energy, grad = _energy(target, params), _gradient(target, params)
+    """Armijo-backtracking gradient descent; every accepted step decreases energy.
+
+    Each trial point is retracted onto the chart before its energy is taken,
+    and the gradient at the accepted trial reuses that energy's pair data.
+    """
+    params = _retract(target, np.asarray(params, dtype=float).copy())
+    energy, pairs = _evaluate(target, params)
+    grad = _gradient(target, params, pairs)
     if not (math.isfinite(energy) and np.isfinite(grad).all()):  # NaN fails Armijo until "stationary"
         raise FloatingPointError(f"descent start is not finite: energy {energy!r}")
     if trace is not None:
@@ -194,8 +233,8 @@ def descend(target: TargetSet, params: np.ndarray, budget: int,
             step = step * 2.0
         step = min(max(step, 1e-18), 1e6)
         while True:
-            trial = params - step * grad
-            trial_energy = _energy(target, trial)
+            trial = _retract(target, params - step * grad)
+            trial_energy, pairs = _evaluate(target, trial)
             if trial_energy <= energy - 1e-4 * step * gnorm2:
                 break
             step *= 0.5
@@ -204,7 +243,7 @@ def descend(target: TargetSet, params: np.ndarray, budget: int,
         prev_params, prev_grad = params, grad
         # the Armijo test already evaluated the energy at the accepted point
         params, new_energy = trial, trial_energy
-        grad = _gradient(target, params)
+        grad = _gradient(target, params, pairs)
         iterations += 1
         if trace is not None:
             trace.append(new_energy)

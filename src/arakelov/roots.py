@@ -138,11 +138,22 @@ def _starts(coeffs: tuple[int, ...]) -> list[tuple[float | None, float]]:
 
     The log radius is None for the start at 0 that a zero constant term asks
     for.  Each circle is turned by its first index, so circles do not line up.
+    Consecutive hull edges whose log radii agree up to rounding are one edge,
+    which the float hull split at a vertex on the chord: one circle.
     """
     d = len(coeffs) - 1
     hull = _lower_hull([(i, -math.log(abs(a))) for i, a in enumerate(coeffs) if a])
-    starts: list[tuple[float | None, float]] = [(None, 0.0)] * hull[0][0]
+    edges: list[tuple[tuple[int, float], tuple[int, float]]] = []
     for (i0, h0), (i1, h1) in zip(hull, hull[1:]):
+        if edges:
+            (j0, g0), _ = edges[-1]
+            slack = 8.0 * _EPS * max(1.0, abs(g0), abs(h0), abs(h1))
+            if abs((h1 - h0) / (i1 - i0) - (h0 - g0) / (i0 - j0)) <= slack:
+                edges[-1] = ((j0, g0), (i1, h1))
+                continue
+        edges.append(((i0, h0), (i1, h1)))
+    starts: list[tuple[float | None, float]] = [(None, 0.0)] * hull[0][0]
+    for (i0, h0), (i1, h1) in edges:
         m = i1 - i0
         log_radius = (h1 - h0) / m
         starts += [(log_radius, 2.0 * math.pi * (k / m + i0 / d) + _ANGLE_OFFSET)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from arakelov.equilibrium import Interval, RealLine, Sphere, analytic_energy
-from arakelov.fekete import (PointConfiguration, _energy, _gradient,
-                             _pair_scale, convergence_table, descend,
+from arakelov.fekete import (PointConfiguration, _angles_to_vectors, _energy,
+                             _gradient, _pair_scale, convergence_table, descend,
                              discrete_energy, equally_spaced_energy,
                              gradient_relative_error, minimize)
 
@@ -91,21 +91,25 @@ def _full_matrix_energy(target, params):
             iu = np.triu_indices(n, 1)
             return float(-2.0 * np.sum(np.log(s[iu])) * _pair_scale(n)) + 0.0
         if isinstance(target, Sphere):
-            u = _full_matrix_vectors(params)
-            n = u.shape[0]
-            diff = u[:, None, :] - u[None, :, :]
-            dist = np.sqrt(np.sum(diff * diff, axis=2))
+            u, _ = _full_matrix_unit_vectors(params)
+            n = u.shape[1]
+            d2 = _full_matrix_squared_distances(u)
             iu = np.triu_indices(n, 1)
-            return float(-2.0 * np.sum(np.log(dist[iu] / 2.0)) * _pair_scale(n)) + 0.0
+            return float(-np.sum(np.log(d2[iu] / 4.0)) * _pair_scale(n)) + 0.0
     # an interval is the arc theta = atan(r)*sin(t) of the real projective line
     return _full_matrix_energy(RealLine(), math.atan(target.r) * np.sin(params))
 
 
-def _full_matrix_vectors(params):
-    n = len(params) // 2
-    az, pol = params[:n], params[n:]
-    sp = np.sin(pol)
-    return np.stack([sp * np.cos(az), sp * np.sin(az), np.cos(pol)], axis=1)
+def _full_matrix_unit_vectors(params):
+    """Rows x, y, z of the 3N sphere parameters, normalised, and their norms."""
+    x = params.reshape(3, -1)
+    norms = np.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+    return x / norms, norms
+
+
+def _full_matrix_squared_distances(u):
+    diff = u[:, :, None] - u[:, None, :]
+    return diff[0] * diff[0] + diff[1] * diff[1] + diff[2] * diff[2]
 
 
 def _full_matrix_gradient(target, params):
@@ -117,18 +121,17 @@ def _full_matrix_gradient(target, params):
         np.fill_diagonal(cot, 0.0)
         return -2.0 * _pair_scale(n) * np.sum(cot, axis=1)
     if isinstance(target, Sphere):
-        u = _full_matrix_vectors(params)
-        n = u.shape[0]
-        diff = u[:, None, :] - u[None, :, :]
-        d2 = np.sum(diff * diff, axis=2)
+        # gradient of E(x/|x|): the Euclidean pair gradient at u = x/|x|,
+        # projected onto the tangent plane at u and divided by |x|
+        u, norms = _full_matrix_unit_vectors(params)
+        n = u.shape[1]
+        d2 = _full_matrix_squared_distances(u)
         np.fill_diagonal(d2, 1.0)
-        du = -2.0 * _pair_scale(n) * np.sum(diff / d2[:, :, None], axis=1)
-        az, pol = params[:n], params[n:]
-        sp, cp = np.sin(pol), np.cos(pol)
-        sa, ca = np.sin(az), np.cos(az)
-        d_az = np.stack([-sp * sa, sp * ca, np.zeros(n)], axis=1)
-        d_pol = np.stack([cp * ca, cp * sa, -sp], axis=1)
-        return np.concatenate([np.sum(du * d_az, axis=1), np.sum(du * d_pol, axis=1)])
+        du = np.stack([-2.0 * _pair_scale(n) * np.sum((u[c][:, None] - u[c][None, :]) / d2, axis=1)
+                       for c in range(3)])
+        for _ in range(2):  # the second pass removes the first one's radial rounding
+            du = du - (du[0] * u[0] + du[1] * u[1] + du[2] * u[2]) * u
+        return (du / norms).ravel()
     alpha = math.atan(target.r)
     return (_full_matrix_gradient(RealLine(), alpha * np.sin(params))
             * (alpha * np.cos(params)))
@@ -139,7 +142,7 @@ class TestKernels:
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 17, 32, 64])
     def test_equal_to_the_full_matrix_reference(self, target, n):
         rng = np.random.default_rng(n)
-        size = 2 * n if isinstance(target, Sphere) else n
+        size = 3 * n if isinstance(target, Sphere) else n
         for _ in range(50):
             params = rng.uniform(-3.0, 3.0, size)
             assert _energy(target, params) == _full_matrix_energy(target, params)
@@ -159,7 +162,7 @@ class TestGradients:
         rng = np.random.default_rng(11)
         for _ in range(5):
             n = int(rng.integers(3, 7))
-            size = 2 * n if isinstance(target, Sphere) else n
+            size = 3 * n if isinstance(target, Sphere) else n
             params = rng.random(size) * 2.0 + 0.1
             assert gradient_relative_error(target, params) <= 1e-6
 
@@ -168,9 +171,57 @@ class TestGradients:
         # a few descent steps keep the points apart, where central differences
         # resolve the gradient; uniform random angles put some pairs too close
         start = minimize(target, 24, seed=3, budget=5, restarts=1).params
+        if isinstance(target, Sphere):  # reported angles back to descent vectors
+            start = _angles_to_vectors(start)
         jitter = 0.01 * np.random.default_rng(24).standard_normal(len(start))
         for params in (start, start + jitter):
             assert gradient_relative_error(target, params) <= 1e-6
+
+
+class TestSphereChart:
+    """Sphere descent runs on unit vectors of R^3, 3N numbers (x, y, z rows)."""
+
+    def test_gradient_is_tangent(self):
+        rng = np.random.default_rng(31)
+        for n in (3, 8, 17, 32):
+            for _ in range(20):
+                x = rng.standard_normal((3, n))  # any nonzero vectors: the energy normalises
+                u = x / np.linalg.norm(x, axis=0)
+                g = _gradient(Sphere(), x.ravel()).reshape(3, n)
+                radial = np.abs(np.sum(u * g, axis=0))
+                assert np.all(radial <= 1e-15 * np.linalg.norm(g, axis=0))
+
+    def test_matches_finite_differences_on_and_off_the_sphere(self):
+        rng = np.random.default_rng(12)
+        for n in (4, 9, 16):
+            x = rng.standard_normal((3, n))
+            u = (x / np.linalg.norm(x, axis=0)).ravel()
+            assert gradient_relative_error(Sphere(), u) <= 1e-6
+            assert gradient_relative_error(Sphere(), x.ravel()) <= 1e-6
+
+    def test_descent_retracts_onto_unit_vectors(self):
+        x = 3.0 * np.random.default_rng(2).standard_normal(3 * 7)
+        params, energy, _, _ = descend(Sphere(), x, budget=20)
+        assert np.allclose(np.linalg.norm(params.reshape(3, 7), axis=0), 1.0, rtol=0, atol=4e-16)
+        assert energy == _energy(Sphere(), params)
+
+    @pytest.mark.parametrize("n, optimum", [(4, -0.5 * math.log(2 / 3)),  # tetrahedron
+                                            (6, 0.4 * math.log(2))])  # octahedron
+    def test_platonic_optima(self, n, optimum):
+        for seed in range(3):
+            result = minimize(Sphere(), n, seed=seed)
+            assert result.converged
+            assert abs(result.energy - optimum) <= 1e-14
+
+    def test_reported_angles_reproduce_the_energy(self):
+        # the angles are a rounding away from the descent's vectors; each energy
+        # evaluation carries about 4 eps of relative rounding, up to 7 ulps at
+        # N = 4, whose energy sits just above 2^-3
+        for n in (4, 6, 16, 32):
+            for seed in range(3):
+                result = minimize(Sphere(), n, seed=seed)
+                gap = abs(discrete_energy(result) - result.energy)
+                assert gap <= 8 * math.ulp(result.energy)
 
 
 class TestMinimize:

@@ -232,3 +232,19 @@ class TestNewtonPolygonStarts:
         starts = _starts((0, 1000, -1000001, 1000))
         assert starts[0][0] is None
         assert [math.exp(lr) for lr, _ in starts[1:]] == pytest.approx([1e-3, 1e3], rel=1e-5)
+
+    def test_collinear_hull_vertex_gives_one_circle(self, monkeypatch):
+        # (0, log 5), (2, log 15), (4, log 45) are collinear, but the float hull
+        # keeps the middle vertex; its two edges are one circle of four distinct
+        # starts, not two circles whose starts coincide
+        f = parse_polynomial("45x^4 - 7x^3 - 15x^2 - 5")
+        starts = roots._start_points(f.coeffs)
+        assert len({lr for lr, _ in _starts(f.coeffs)}) == 1
+        assert min(abs(a - b) for k, a in enumerate(starts) for b in starts[k + 1:]) > 0.5
+        calls = []
+        exact_step = roots._exact_step
+        monkeypatch.setattr(roots, "_exact_step",
+                            lambda coeffs, z: calls.append(z) or exact_step(coeffs, z))
+        certified = complex_roots(f)
+        assert certified.max_radius() <= 1e-12
+        assert len(calls) <= 12  # 124 when the twin starts had to be parted
