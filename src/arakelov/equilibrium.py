@@ -13,12 +13,17 @@ chart x = r sin(t) / sqrt(1 + r^2 cos^2 t), t in [-pi/2, pi/2], where
 sin(theta) = k sin(t) with k = r/sqrt(1 + r^2), its equilibrium measure is
 dt/pi, as the real line's is dtheta/pi: every interval integral runs there.
 Logarithmic kernel singularities are handled by splitting at the singular
-point and integrating each side with a tanh-sinh rule.
+point and integrating each side with a tanh-sinh rule.  Potentials at points
+of the real line or an interval are rows of one tanh-sinh batch, each split
+at its point's angle: a single point is a batch of one, and the energy's
+cross-check takes the potentials at all nodes of an outer level as one
+batch.  The sphere potential is rotation invariant and is taken at |x|.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,7 +31,7 @@ import numpy as np
 
 from .quadrature import (QuadratureError, QuadratureResult, _refine,
                          adaptive_gauss_legendre, split_singular,
-                         tanh_sinh, tanh_sinh_nodes)
+                         tanh_sinh, tanh_sinh_nodes, tanh_sinh_rows)
 
 INF = complex(math.inf, 0.0)  # the point at infinity on P^1
 
@@ -64,6 +69,16 @@ def set_name(target: TargetSet) -> str:
     return f"interval:{target.r:g}"
 
 
+def require_normal_radius(target: TargetSet) -> None:
+    """Refuse an interval whose radius is below the normal double range,
+    before any numpy work: r^2, 1/r and the chart's angles lose their
+    precision or overflow there."""
+    if isinstance(target, Interval) and target.r < sys.float_info.min:
+        raise FloatingPointError(
+            f"interval radius {target.r:g} is subnormal: numeric work needs r "
+            f"from {sys.float_info.min:g} to {sys.float_info.max:g}")
+
+
 def _is_infinite(x) -> bool:
     z = complex(x)
     return math.isinf(z.real) or math.isinf(z.imag)
@@ -97,6 +112,7 @@ def density(target: TargetSet, x) -> float:
         xr = _require_real(x)
         return 1.0 / (math.pi * (1.0 + xr * xr))
     if isinstance(target, Interval):
+        require_normal_radius(target)
         xr = _require_real(x)
         r = target.r
         if not abs(xr) < r:
@@ -152,6 +168,7 @@ def mass(target: TargetSet, tol: float = 1e-9) -> QuadratureResult:
             return (1.0 / (np.pi * (1.0 + x * x))) / np.cos(theta) ** 2
         return adaptive_gauss_legendre(f, -np.pi / 2, np.pi / 2, tol)
     if isinstance(target, Interval):
+        require_normal_radius(target)
         r, big_h = target.r, math.hypot(1.0, target.r)
 
         def f(t):
@@ -175,17 +192,13 @@ def potential(target: TargetSet, x, tol: float = 1e-8) -> QuadratureResult:
     if isinstance(target, Sphere):
         if _is_infinite(x):
             return _sphere_tail_moment(tol)
-        return _sphere_potential(complex(x), tol)
+        return _sphere_potential(abs(complex(x)), tol)
     if isinstance(target, RealLine):
         if _is_infinite(x):
             return _real_line_tail_moment(tol)
-        xr = _require_real(x)
-        phi = math.atan(xr)
-
-        def f(theta):
-            return -np.log(np.abs(np.sin(phi - theta))) / np.pi
-        return split_singular(f, -np.pi / 2, np.pi / 2, phi, tol)
+        return _line_potentials(np.array([math.atan(_require_real(x))]), tol)[0]
     if isinstance(target, Interval):
+        require_normal_radius(target)
         return _interval_potential(target.r, x, tol)
     raise TypeError(f"not a target set: {target!r}")
 
@@ -209,49 +222,74 @@ def _real_line_tail_moment(tol: float) -> QuadratureResult:
                      -np.pi / 2, np.pi / 2, tol)
 
 
-def _sphere_potential(x: complex, tol: float) -> QuadratureResult:
+def _sphere_potential(ax: float, tol: float) -> QuadratureResult:
+    """The sphere potential at any point of modulus ``ax``."""
     tail = _sphere_tail_moment(tol / 4)
-    log_part = _sphere_log_part(x, tol / 2)
-    value = log_part.value + tail.value + _half_log1p_sq(abs(x))
+    log_part = _sphere_log_part(ax, tol / 2)
+    value = log_part.value + tail.value + _half_log1p_sq(ax)
     return QuadratureResult(value, log_part.est_error + tail.est_error,
                             log_part.evaluations + tail.evaluations)
 
 
-def _sphere_log_part(x: complex, tol: float) -> QuadratureResult:
-    """integral of -log|x - w| dmu(w) in polar coordinates at the origin.
+def _sphere_log_part(ax: float, tol: float) -> QuadratureResult:
+    """integral of -log|ax - w| dmu(w) in polar coordinates at the origin.
 
-    The radial variable is compactified by u = 1/(1+rho^2), under which the
-    measure's radial factor integrates to du/2.  The kernel is log-singular
-    at (rho, phi) = (|x|, arg x); both 1d meshes split there, so the
+    The measure is rotation invariant, so the point is taken on the positive
+    real axis.  The radial variable is compactified by u = 1/(1+rho^2), under
+    which the measure's radial factor integrates to du/2.  The kernel is
+    log-singular at (rho, phi) = (ax, 0) and even in phi: the angular mesh
+    covers [0, pi] and counts twice, and the radial mesh splits at ax, so the
     singularity sits at a corner where the tanh-sinh product rule converges.
     """
-    ax = abs(x)
-    phi0 = math.atan2(x.imag, x.real)
     u_x = 1.0 / (1.0 + ax * ax)
 
-    def levels():
-        for level in range(7):
-            h = 0.5 * 2.0 ** (-level)
-            total, evals = 0.0, 0
-            for ulo, uhi in ((0.0, u_x), (u_x, 1.0)):
-                if uhi <= ulo:
-                    continue
-                un, uw = tanh_sinh_nodes(ulo, uhi, h)
-                rho = np.sqrt(1.0 / un - 1.0)
-                for plo, phi in ((phi0 - np.pi, phi0), (phi0, phi0 + np.pi)):
-                    pn, pw = tanh_sinh_nodes(plo, phi, h)
-                    w = rho[:, None] * np.exp(1j * pn)[None, :]
-                    kernel = -np.log(np.abs(x - w))
-                    total += float(np.sum(uw[:, None] * pw[None, :] * kernel))
-                    evals += un.size * pn.size
-            yield total / (2.0 * np.pi), evals
-    return _refine(levels(), tol, "sphere potential product rule")
+    def level(k, _):
+        h = 0.5 * 2.0 ** (-k)
+        pn, pw, kept = tanh_sinh_nodes(0.0, np.pi, h)
+        pn, pw = pn[kept], pw[kept]
+        un, uw, kept = tanh_sinh_nodes((0.0, u_x), (u_x, 1.0), h)
+        un, uw = un[kept], uw[kept]
+        rho = np.sqrt(1.0 / un - 1.0)[:, None]
+        kernel = -np.log(np.hypot(ax - rho * np.cos(pn), rho * np.sin(pn)))
+        return [float(np.sum(uw[:, None] * pw * kernel)) / np.pi], [un.size * pn.size]
+    return _refine(level, 7, tol, "sphere potential product rule")[0]
+
+
+def _line_potentials(phi: np.ndarray, tol: float):
+    """Real-line potentials at the points tan(phi), one tanh-sinh row each, split at phi."""
+    def f(rows, theta):
+        return -np.log(np.abs(np.sin(phi[rows, None] - theta))) / np.pi
+    return tanh_sinh_rows(f, -np.pi / 2, np.pi / 2, phi[:, None], tol)
+
+
+def _interval_support_potentials(r: float, t_x: np.ndarray, tol: float):
+    """Potentials of [-r, r] at the points of chart angles t_x, one tanh-sinh
+    row each, split at t_x.
+
+    In the t chart the measure is dt/pi, and with H = sqrt(1 + r^2):
+    sin(theta) = k sin t, k = r/H, and cos(theta) = sqrt(1 + r^2 cos^2 t) / H.
+    """
+    big_h = math.hypot(1.0, r)
+    k = r / big_h
+    s_x, h_x = np.sin(t_x)[:, None], np.hypot(1.0, r * np.cos(t_x))[:, None]
+
+    def f(rows, t):
+        tx, sx, hx = t_x[rows, None], s_x[rows], h_x[rows]
+        s_t, h_t = np.sin(t), np.hypot(1.0, r * np.cos(t))
+        # sin(theta_x - theta): where the two terms share a sign, as
+        # (sin^2 theta_x - sin^2 theta) / (sin theta_x cos theta + cos theta_x sin theta)
+        same = s_t * sx > 0.0
+        near = (r * np.sin(tx - t) * np.sin(tx + t)
+                / np.where(same, sx * h_t + s_t * hx, 1.0))
+        far = k / big_h * (sx * h_t - hx * s_t)
+        return -np.log(np.abs(np.where(same, near, far))) / np.pi
+    return tanh_sinh_rows(f, -np.pi / 2, np.pi / 2, t_x[:, None], tol)
 
 
 def _interval_potential(r: float, x, tol: float) -> QuadratureResult:
-    # in the t chart the measure is dt/pi, the chordal distance from tan(theta)
-    # to z is |z cos(theta) - sin(theta)| / sqrt(1 + |z|^2), and with
-    # H = sqrt(1 + r^2): sin(theta) = k sin t, cos(theta) = sqrt(1 + r^2 cos^2 t) / H
+    # the chordal distance from tan(theta) to z is
+    # |z cos(theta) - sin(theta)| / sqrt(1 + |z|^2), in the chart of
+    # _interval_support_potentials
     big_h = math.hypot(1.0, r)
     k = r / big_h
 
@@ -262,19 +300,7 @@ def _interval_potential(r: float, x, tol: float) -> QuadratureResult:
         return tanh_sinh(lambda t: -np.log(cos_theta(t)) / np.pi, -np.pi / 2, np.pi / 2, tol)
     z = complex(x)
     if z.imag == 0.0 and abs(z.real) <= r:
-        t_x = _interval_t(r, z.real)
-        s_x, h_x = math.sin(t_x), math.hypot(1.0, r * math.cos(t_x))
-
-        def f(t):
-            s_t, h_t = np.sin(t), np.hypot(1.0, r * np.cos(t))
-            # sin(theta_x - theta): where the two terms share a sign, as
-            # (sin^2 theta_x - sin^2 theta) / (sin theta_x cos theta + cos theta_x sin theta)
-            same = s_t * s_x > 0.0
-            near = (r * np.sin(t_x - t) * np.sin(t_x + t)
-                    / np.where(same, s_x * h_t + s_t * h_x, 1.0))
-            far = k / big_h * (s_x * h_t - h_x * s_t)
-            return -np.log(np.abs(np.where(same, near, far))) / np.pi
-        return split_singular(f, -np.pi / 2, np.pi / 2, t_x, tol)
+        return _interval_support_potentials(r, np.array([_interval_t(r, z.real)]), tol)[0]
 
     def g(t):
         return (-np.log(np.abs(z * cos_theta(t) - k * np.sin(t)))
@@ -312,31 +338,37 @@ def _energy_single(target: TargetSet, tol: float) -> QuadratureResult:
     return potential(target, 0.0 if isinstance(target, Interval) else INF, tol)
 
 
+def _support_potentials(target: TargetSet, c: np.ndarray,
+                        tol: float) -> list[QuadratureResult]:
+    """Potentials at the support points of coordinates ``c``: u = 1/(1 + |x|^2)
+    on the sphere (one product rule per point), the angle theta of
+    x = tan(theta) on the real line and the chart angle t on an interval (one
+    batch of tanh-sinh rows)."""
+    if isinstance(target, Sphere):
+        return [_sphere_potential(ax, tol) for ax in np.sqrt(1.0 / c - 1.0).tolist()]
+    if isinstance(target, RealLine):
+        return _line_potentials(c, tol)
+    return _interval_support_potentials(target.r, c, tol)
+
+
 def _energy_double(target: TargetSet, tol: float,
                    cross_tol: float) -> QuadratureResult:
     """Outer Gauss-Legendre rule, n = 16 to 128, on the potential against the
     measure: in u on the sphere, in the angle of measure dt/pi on the real line
-    (x = tan t) and on an interval (the arc chart).  ``evaluations`` counts the
-    inner ones; refuses when the last n is not converged."""
-    inner_tol = tol / 4
+    (x = tan t) and on an interval (the arc chart).  The potentials at all
+    nodes of an outer level are one batch; ``evaluations`` counts the inner
+    ones; refuses when the last n is not converged."""
     evals = 0
+    sphere = isinstance(target, Sphere)
 
-    def potentials(xs):
+    def f(c):
         nonlocal evals
-        inner = [potential(target, x, inner_tol) for x in xs]
+        inner = _support_potentials(target, c, tol / 4)
         evals += sum(p.evaluations for p in inner)
-        return np.array([p.value for p in inner])
-
-    if isinstance(target, Sphere):
-        def f(u):
-            return potentials(np.sqrt(1.0 / u - 1.0))
-        outer = adaptive_gauss_legendre(f, 0.0, 1.0, cross_tol / 4, max_doublings=3)
-    else:
-        def f(t):
-            xs = _interval_x(target.r, t) if isinstance(target, Interval) else np.tan(t)
-            return potentials(xs) / np.pi
-        outer = adaptive_gauss_legendre(f, -np.pi / 2, np.pi / 2, cross_tol / 4,
-                                        max_doublings=3)
+        values = np.array([p.value for p in inner])
+        return values if sphere else values / np.pi
+    a, b = (0.0, 1.0) if sphere else (-np.pi / 2, np.pi / 2)
+    outer = adaptive_gauss_legendre(f, a, b, cross_tol / 4, max_doublings=3)
     return QuadratureResult(outer.value, outer.est_error, evals)
 
 
@@ -389,6 +421,7 @@ def harmonic_measure_interval(r: float, a: float, b: float) -> QuadratureResult:
 
 def energy_via_balayage(r: float, tol: float = 1e-8) -> QuadratureResult:
     """Interval energy as Green value at i plus the swept-out log moment."""
+    require_normal_radius(Interval(r))
     g = green_interval(1j, r)
     moment = _interval_potential(r, INF, tol)
     return QuadratureResult(g + moment.value, moment.est_error, moment.evaluations)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import (Interval, RealLine, Sphere, TargetSet,
-                          analytic_energy, set_name)
+                          analytic_energy, require_normal_radius, set_name)
 
 
 @dataclass
@@ -90,7 +90,9 @@ def _evaluate(target: TargetSet, params: np.ndarray) -> tuple[float, tuple]:
         diff = u.take(i, axis=1) - u.take(j, axis=1)
         d2 = (diff * diff).sum(axis=0)
         # -2 log(|u_i - u_j| / 2) = -log(|u_i - u_j|^2 / 4)
-        return float(-np.log(d2 / 4.0).sum() * _pair_scale(n)) + 0.0, (u, norms)
+        # d2 / 4 rounds above 1 for pairs that are antipodal up to rounding
+        return (float(-np.log(np.minimum(d2 / 4.0, 1.0)).sum() * _pair_scale(n)) + 0.0,
+                (u, norms))
     if isinstance(target, Interval):
         return _evaluate(RealLine(), math.atan(target.r) * np.sin(params))
     raise TypeError(f"not a target set: {target!r}")
@@ -267,6 +269,7 @@ def minimize(target: TargetSet, n: int, seed: int = 0, budget: int = 4000,
         raise ValueError("need at least two points")
     if budget < 1:
         raise ValueError("budget must be positive")
+    require_normal_radius(target)
     best = None
     for k in range(restarts):
         rng = np.random.default_rng([seed, k])

@@ -296,7 +296,11 @@ class TestWideIntervals:
         (["bounds", "--places", "inf", "--r", "nan"], 2),
         # the density 1/(pi r) at x = 0 is beyond double range
         (["measure", "--interval", "1e-320", "--density-grid", "3"], 3),
+        # subnormal radii are refused before any numpy work
+        (["measure", "--interval", "1e-310", "--energy"], 3),
+        (["fekete", "--interval", "1e-310", "--n", "4"], 3),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_refusals_exit_without_traceback(self, capsys, argv, want):
         code = main([*argv, "--format", "json"])
         captured = capsys.readouterr()

@@ -6,12 +6,14 @@ import pytest
 
 from arakelov import equilibrium
 from arakelov.bounds import chebyshev_limit_integral
+from arakelov.fekete import minimize
 from arakelov.equilibrium import (INF, Interval, RealLine, Sphere,
                                   analytic_energy, conformal_map, density,
                                   energy, energy_via_balayage, exterior_map,
                                   green_interval, harmonic_measure_interval,
                                   mass, potential)
-from arakelov.quadrature import QuadratureError, tanh_sinh
+from arakelov.quadrature import (QuadratureError, QuadratureResult,
+                                 adaptive_gauss_legendre, tanh_sinh)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -222,6 +224,89 @@ class TestEnergy:
         # apart, and none up to n = 128 can agree to 1e-300
         with pytest.raises(QuadratureError, match="Gauss-Legendre up to n=128 stalled"):
             energy(Interval(8.0), tol=1e-8, cross_tol=1e-300)
+
+
+def _energy_double_per_node(target, tol, cross_tol):
+    """The cross-check as one potential call per outer node: the oracle of
+    the batched ``_energy_double``."""
+    evals = 0
+
+    def potentials(xs):
+        nonlocal evals
+        inner = [potential(target, x, tol / 4) for x in xs]
+        evals += sum(p.evaluations for p in inner)
+        return np.array([p.value for p in inner])
+
+    if isinstance(target, Sphere):
+        outer = adaptive_gauss_legendre(lambda u: potentials(np.sqrt(1.0 / u - 1.0)),
+                                        0.0, 1.0, cross_tol / 4, max_doublings=3)
+    else:
+        def f(t):
+            xs = (equilibrium._interval_x(target.r, t) if isinstance(target, Interval)
+                  else np.tan(t))
+            return potentials(xs) / np.pi
+        outer = adaptive_gauss_legendre(f, -np.pi / 2, np.pi / 2, cross_tol / 4,
+                                        max_doublings=3)
+    return QuadratureResult(outer.value, outer.est_error, evals)
+
+
+class TestBatchedPotentials:
+    """The potentials of a batch are the batches of one at each point."""
+
+    @staticmethod
+    def _angles(rng):
+        # panel ends at +-pi/2 (empty panels), the centre, and a spread in between
+        return np.concatenate(([-np.pi / 2, np.pi / 2, 0.0, 1e-300],
+                               np.pi * (rng.random(12) - 0.5)))
+
+    def test_real_line_rows_are_batches_of_one(self):
+        phi = self._angles(np.random.default_rng(11))
+        rows = equilibrium._line_potentials(phi, 1e-9)
+        for k, row in enumerate(rows):
+            assert row == equilibrium._line_potentials(phi[k:k + 1], 1e-9)[0]
+        x = math.tan(phi[-1])
+        assert potential(RealLine(), x, 1e-9) == equilibrium._line_potentials(
+            np.array([math.atan(x)]), 1e-9)[0]
+
+    @pytest.mark.parametrize("r", [1e-3, 1.0, 1e6])
+    def test_interval_rows_are_batches_of_one(self, r):
+        t = self._angles(np.random.default_rng(12))
+        rows = equilibrium._interval_support_potentials(r, t, 1e-9)
+        for k, row in enumerate(rows):
+            assert row == equilibrium._interval_support_potentials(r, t[k:k + 1], 1e-9)[0]
+            assert row.est_error <= 1e-9
+            assert abs(row.value - analytic_energy(Interval(r))) <= 1e-8
+        x = r * 0.3
+        assert potential(Interval(r), x, 1e-9) == equilibrium._interval_support_potentials(
+            r, np.array([equilibrium._interval_t(r, x)]), 1e-9)[0]
+
+    @pytest.mark.parametrize("target", [Sphere(), RealLine(), Interval(1e-3),
+                                        Interval(1.0), Interval(1e6)],
+                             ids=["sphere", "line", "r=1e-3", "r=1", "r=1e6"])
+    def test_energy_double_matches_the_per_node_loop(self, target):
+        # the batch takes the chart coordinate of each outer node; the loop
+        # maps it to x and back, which may move the last bit of a node
+        batched = equilibrium._energy_double(target, 1e-8, 1e-6)
+        oracle = _energy_double_per_node(target, 1e-8, 1e-6)
+        assert batched.evaluations == oracle.evaluations
+        assert abs(batched.value - oracle.value) <= 4e-16
+        assert abs(batched.est_error - oracle.est_error) <= 4e-16
+
+
+class TestSubnormalRadius:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("compute", [
+        lambda t: energy(t), lambda t: mass(t), lambda t: potential(t, 0.0),
+        lambda t: density(t, 0.0), lambda t: energy_via_balayage(t.r),
+        lambda t: minimize(t, 4),
+    ], ids=["energy", "mass", "potential", "density", "balayage", "fekete"])
+    def test_refused_before_numpy_work(self, compute):
+        with pytest.raises(FloatingPointError, match="subnormal"):
+            compute(Interval(1e-310))
+
+    def test_smallest_normal_radius_is_accepted(self):
+        r = 2.2250738585072014e-308
+        assert density(Interval(r), 0.0) == pytest.approx(1 / (math.pi * r), rel=1e-14)
 
 
 @pytest.mark.parametrize("compute", [

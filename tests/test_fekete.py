@@ -258,6 +258,12 @@ class TestMinimize:
         assert result.converged
         assert abs(result.energy - equally_spaced_energy(8)) <= 1e-9
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_points_reach_zero_exactly(self, seed):
+        # the two points end antipodal up to rounding, where |u - v|^2 / 4
+        # can round above 1; the energy kernel clamps it there
+        assert minimize(Sphere(), 2, seed=seed).energy == 0.0
+
     def test_non_finite_start_raises(self):
         with pytest.raises(FloatingPointError):
             descend(RealLine(), np.array([0.1, math.nan, 0.5]), budget=10)

@@ -7,7 +7,7 @@ import pytest
 
 from arakelov.quadrature import (QuadratureError, _leggauss,
                                  adaptive_gauss_legendre, split_singular,
-                                 tanh_sinh)
+                                 tanh_sinh, tanh_sinh_rows)
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -75,6 +75,73 @@ def test_split_singular_several_cuts():
     result = split_singular(f, 0.0, 1.0, (0.7, 0.3), 1e-11)
     one = 0.3 * math.log(0.3) + 0.7 * math.log(0.7) - 1.0
     assert result.value == pytest.approx(2.0 * one, abs=1e-10)
+
+
+class TestRows:
+    """One tanh-sinh routine: row k of a batch is the lone integral split at its cuts."""
+
+    # an empty panel at either end and between equal cuts
+    CUTS = [[0.3, 0.7], [0.0, 0.5], [0.5, 1.0], [0.2, 0.2], [0.0, 1.0], [0.1, 0.9]]
+
+    @staticmethod
+    def _family(k, x):
+        """Row k's integrand: log|x - c| at its first cut, plus sqrt(x) on odd rows."""
+        c = np.array(TestRows.CUTS)[k, :1]
+        return np.log(np.abs(x - c)) + (k[:, None] % 2) * np.sqrt(x)
+
+    @staticmethod
+    def _log_integral(c):
+        """Integral of log|x - c| over [0, 1]."""
+        left = c * math.log(c) if c > 0 else 0.0
+        right = (1 - c) * math.log(1 - c) if c < 1 else 0.0
+        return left + right - 1.0
+
+    def test_rows_are_batches_of_one(self):
+        cuts = np.array(self.CUTS)
+        rows = tanh_sinh_rows(self._family, 0.0, 1.0, cuts, 1e-11)
+        for k, row in enumerate(rows):
+            alone = tanh_sinh_rows(lambda _, x, k=k: self._family(np.array([k]), x),
+                                   0.0, 1.0, cuts[k:k + 1], 1e-11)
+            assert row == alone[0]
+            exact = self._log_integral(cuts[k][0]) + (k % 2) * 2.0 / 3.0
+            assert row.value == pytest.approx(exact, abs=1e-10)
+
+    def test_distinct_cuts_match_split_singular(self):
+        cuts = np.array(self.CUTS)
+        rows = tanh_sinh_rows(self._family, 0.0, 1.0, cuts, 1e-11)
+        for k in (0, 5):
+            lone = split_singular(lambda x, k=k: self._family(np.array([k]), x[None])[0],
+                                  0.0, 1.0, cuts[k], 1e-11)
+            assert rows[k] == lone
+
+    def test_converged_rows_are_not_evaluated(self):
+        seen = []
+
+        def f(rows, x):
+            seen.append(rows.tolist())
+            # row 0 vanishes, so it converges at the first comparison
+            return np.where(rows[:, None] == 0, 0.0, np.log(x))
+        rows = tanh_sinh_rows(f, 0.0, 1.0, np.empty((2, 0)), 1e-12)
+        assert rows[0] == tanh_sinh(np.zeros_like, 0.0, 1.0, 1e-12)
+        assert rows[1] == tanh_sinh(np.log, 0.0, 1.0, 1e-12)
+        assert seen[:2] == [[0, 1], [0, 1]]
+        assert len(seen) > 2 and all(active == [1] for active in seen[2:])
+
+    def test_cuts_must_ascend_within_the_interval(self):
+        with pytest.raises(ValueError):
+            tanh_sinh_rows(lambda rows, x: x, 0.0, 1.0, [[0.7, 0.3]], 1e-8)
+        with pytest.raises(ValueError):
+            tanh_sinh_rows(lambda rows, x: x, 0.0, 1.0, [[1.5]], 1e-8)
+        with pytest.raises(ValueError):
+            split_singular(np.exp, 0.0, 1.0, 2.0, 1e-8)
+
+    def test_stalled_row_raises(self):
+        rng = np.random.default_rng(5)
+
+        def f(rows, x):
+            return np.where(rows[:, None] == 0, 0.0, rng.random(x.shape))
+        with pytest.raises(QuadratureError, match="tanh-sinh down to h=0.25 stalled"):
+            tanh_sinh_rows(f, 0.0, 1.0, np.empty((2, 0)), 1e-12, max_level=2)
 
 
 def test_degenerate_interval():
