@@ -11,16 +11,29 @@ the Euclidean pair gradient projected onto the tangent planes, has no pole
 singularity and is exact at any nonzero vectors.  Sphere results are
 reported as azimuths and polar angles.
 
-The optimizer is gradient descent with a Barzilai-Borwein trial step and
-Armijo backtracking (one loop, ``descend``), restarted from exact samples of
-the equilibrium measure.  Each trial point is retracted onto its chart
-before its energy is taken: rows normalised on the sphere, unchanged on the
-line and intervals (Wen-Yin, Math. Program. 2013).
+The optimizer is one descent loop (``descend``), restarted from exact
+samples of the equilibrium measure.  Far from a minimum each step is
+gradient descent with a Barzilai-Borwein (BB) trial step and Armijo
+backtracking.  Below a gradient norm of ``_NEWTON_SWITCH`` the loop tries a
+Newton step on the analytic dense Hessian (``_hessian``) instead, and keeps
+it if the energy rises by at most the stall rule's slack, 4e-16 (1 + |E|),
+and the gradient norm at least halves; a refused Newton step falls back to
+the BB step, and Newton is tried again once the gradient norm has fallen
+tenfold (Riemannian Newton: Absil, Mahony and Sepulchre, Optimization
+Algorithms on Matrix Manifolds, 2008).  Rotations leave the real-line and
+sphere energies unchanged, so their Hessians are singular along them: a
+rank-one 11^T term on the line and the outer products of the three rotation
+generators on the sphere lift that null space before the solve.  Above
+``_NEWTON_MAX_DIM`` Newton coordinates the BB steps run alone, and
+``minimize`` refuses more than ``MAX_POINTS`` points before any array is
+allocated.  Each trial point is retracted onto its chart before its energy
+is taken: rows normalised on the sphere, unchanged on the line and intervals
+(Wen-Yin, Math. Program. 2013).
 
 The two energy kernels (sphere, real line) evaluate the chordal kernel on the
 n(n-1)/2 point pairs only (their indices cached per n), and return the pair
-data their one gradient kernel reuses at the same point.  An accepted step
-keeps the energy its Armijo test computed and the pair data it left, so an
+data their gradient and Hessian kernels reuse at the same point.  An accepted
+step keeps the energy its test computed and the pair data it left, so an
 iteration evaluates the gradient once and the energy only at trial points.
 """
 from __future__ import annotations
@@ -48,6 +61,7 @@ class PointConfiguration:
     energy: float
     iterations: int
     converged: bool = True
+    evaluations: int = 0
 
     @property
     def n(self) -> int:
@@ -57,7 +71,17 @@ class PointConfiguration:
         return {"set": set_name(self.set), "n": self.n,
                 "params": [float(v) for v in self.params],
                 "energy": self.energy, "iterations": self.iterations,
-                "converged": self.converged}
+                "converged": self.converged, "evaluations": self.evaluations}
+
+
+# Newton trials start below this gradient norm; BB steps alone do the rest
+_NEWTON_SWITCH = 1e-2
+# Newton trials only up to this many Newton coordinates (N on the line and
+# intervals, 2N on the sphere): each builds a dense (dim, dim) Hessian and
+# solves it in O(dim^3)
+_NEWTON_MAX_DIM = 256
+# point count beyond which descent is refused: the pair arrays grow as N^2
+MAX_POINTS = 4 * _NEWTON_MAX_DIM
 
 
 def _pair_scale(n: int) -> float:
@@ -139,6 +163,107 @@ def _gradient(target: TargetSet, params: np.ndarray, pairs: tuple | None = None)
     raise TypeError(f"not a target set: {target!r}")
 
 
+def _hessian(target: TargetSet, params: np.ndarray, pairs: tuple | None = None) -> np.ndarray:
+    """Dense Hessian of ``_energy`` in the Newton coordinates: ``params`` on the
+    line and intervals, on the sphere the 2N coordinates (all e1, then all e2)
+    of each point's ``_tangent_basis``; from the pair data ``_evaluate``
+    returned at ``params`` (computed here if not given)."""
+    if pairs is None:
+        pairs = _evaluate(target, params)[1]
+    if isinstance(target, RealLine):
+        n = len(params)
+        i, j = _pairs(n)
+        _, s = pairs
+        # d^2/dp_i dp_j of -2 log|sin(p_i - p_j)| is -2 csc^2(p_i - p_j), and
+        # every row sums to zero: rotations are a null direction
+        h = np.zeros(n * n)
+        h[i * n + j] = h[j * n + i] = -2.0 * _pair_scale(n) / (s * s)
+        h = h.reshape(n, n)
+        h[np.diag_indices(n)] = -h.sum(axis=1)
+        return h
+    if isinstance(target, Sphere):
+        u, norms = pairs
+        n = len(norms)
+        diff = u[:, :, None] - u[:, None, :]
+        d2 = (diff * diff).sum(axis=0)
+        np.fill_diagonal(d2, np.inf)
+        w = 1.0 / d2
+        w2 = w * w
+        basis = _tangent_basis(u)
+        dots = [e.T @ u for e in basis]  # dots[a][i, j] = e_a(u_i) . u_j
+        # In units of 2/(n(n-1)): the Euclidean Hessian of the pair sum has,
+        # for i != j, the 3 x 3 blocks I/d2 - 2 (u_i - u_j)(u_i - u_j)^T/d2^2,
+        # and minus their row sums on the diagonal; e_a(u_i) . (u_i - u_j) is
+        # -e_a(u_i) . u_j.  The sphere's curvature adds -u_i . g_i = (n - 1)/2
+        # on the diagonal, g the Euclidean gradient, as u_i . (u_i - u_j) = d2/2.
+        blocks = []
+        for a in range(2):
+            row = []
+            for b in range(2):
+                block = (basis[a].T @ basis[b]) * w + 2.0 * dots[a] * dots[b].T * w2
+                diag = (2.0 * (dots[a] * dots[b] * w2).sum(axis=1)
+                        - (w.sum(axis=1) - 0.5 * (n - 1) if a == b else 0.0))
+                row.append(block + np.diag(diag))
+            blocks.append(row)
+        # the energy sees x/|x|: a tangent step dx moves u by dx/|x|
+        scale = 1.0 / np.tile(norms, 2)
+        return 2.0 * _pair_scale(n) * np.block(blocks) * scale[:, None] * scale[None, :]
+    if isinstance(target, Interval):
+        alpha = math.atan(target.r)
+        theta = alpha * np.sin(params)
+        jac = alpha * np.cos(params)
+        # chain rule through theta(t): J H J, plus theta'' = -theta on the diagonal
+        h = _hessian(RealLine(), theta, pairs) * jac[:, None] * jac[None, :]
+        h[np.diag_indices(len(params))] -= _gradient(RealLine(), theta, pairs) * theta
+        return h
+    raise TypeError(f"not a target set: {target!r}")
+
+
+def _tangent_basis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal tangent vectors e1 and e2 = u x e1 at each unit column of u."""
+    axis = np.zeros_like(u)
+    axis[np.argmin(np.abs(u), axis=0), np.arange(u.shape[1])] = 1.0
+    e1 = np.cross(axis, u, axis=0)
+    e1 /= np.sqrt((e1 * e1).sum(axis=0))
+    return e1, np.cross(u, e1, axis=0)
+
+
+def _newton_trial(target: TargetSet, params: np.ndarray, pairs: tuple,
+                  grad: np.ndarray) -> np.ndarray:
+    """The retracted Newton point from ``params``, given the pair data and
+    gradient there.
+
+    Rotations leave the real-line and sphere energies unchanged, so their
+    Hessians are singular along them.  A rank-one 11^T term on the line, and
+    the outer products of the three rotation generators on the sphere, lift
+    that null space; the gradient is orthogonal to it, so the step does not
+    turn the configuration.  On an interval the rotation is no symmetry, and
+    the Hessian is taken as it is.
+    """
+    h = _hessian(target, params, pairs)
+    if isinstance(target, Sphere):
+        u = pairs[0]
+        e1, e2 = _tangent_basis(u)
+        g = grad.reshape(3, -1)
+        rhs = np.concatenate([(e1 * g).sum(axis=0), (e2 * g).sum(axis=0)])
+        # e_k x u_i in tangent coordinates: (e_k . e2_i, -e_k . e1_i)
+        null = np.concatenate([e2, -e1], axis=1)
+    else:
+        rhs = grad
+        null = np.ones((1, len(params))) if isinstance(target, RealLine) else None
+    if null is not None:
+        # scaled so that its nonzero eigenvalues sit near the mean diagonal
+        h = h + (np.trace(h) * len(null) / (len(h) * (null * null).sum())) * (null.T @ null)
+    try:
+        step = np.linalg.solve(h, rhs)
+    except np.linalg.LinAlgError:  # no step: the gradient test refuses it
+        return params
+    if isinstance(target, Sphere):
+        n = len(step) // 2
+        step = (e1 * step[:n] + e2 * step[n:]).ravel()
+    return _retract(target, params - step)
+
+
 def _retract(target: TargetSet, params: np.ndarray) -> np.ndarray:
     """Map a descent point back onto its chart: unit rows on the sphere."""
     if isinstance(target, Sphere):
@@ -204,57 +329,98 @@ def _canonicalize(target: TargetSet, params: np.ndarray) -> np.ndarray:
 
 def descend(target: TargetSet, params: np.ndarray, budget: int,
             grad_tol: float = 1e-10,
-            trace: list | None = None) -> tuple[np.ndarray, float, int, bool]:
-    """Armijo-backtracking gradient descent; every accepted step decreases energy.
+            trace: list | None = None) -> tuple[np.ndarray, float, int, bool, int]:
+    """Gradient descent with Newton steps near a minimum: ``(params, energy,
+    iterations, converged, evaluations)``, the last counting every energy,
+    gradient and Hessian evaluation.
 
+    Each iteration takes one step.  Below a gradient norm of
+    ``_NEWTON_SWITCH`` (dimension at most ``_NEWTON_MAX_DIM``) it tries a
+    Newton step, kept if the energy rises at most by the stall rule's slack
+    and the gradient norm at least halves; otherwise, and after a refused
+    Newton step until the gradient norm falls tenfold, the step is
+    Barzilai-Borwein with Armijo backtracking, which lowers the energy.
     Each trial point is retracted onto the chart before its energy is taken,
     and the gradient at the accepted trial reuses that energy's pair data.
     """
     params = _retract(target, np.asarray(params, dtype=float).copy())
     energy, pairs = _evaluate(target, params)
     grad = _gradient(target, params, pairs)
+    evaluations = 2
     if not (math.isfinite(energy) and np.isfinite(grad).all()):  # NaN fails Armijo until "stationary"
         raise FloatingPointError(f"descent start is not finite: energy {energy!r}")
     if trace is not None:
         trace.append(energy)
+    dim = len(params) // 3 * 2 if isinstance(target, Sphere) else len(params)
+    newton_below = _NEWTON_SWITCH if dim <= _NEWTON_MAX_DIM else 0.0
     step = 1.0
     prev_params = prev_grad = None
     iterations = 0
     stalls = 0
     for _ in range(budget):
         gnorm2 = float(np.dot(grad, grad))
-        if math.sqrt(gnorm2) <= grad_tol:
-            return params, energy, iterations, True
-        # Barzilai-Borwein trial step, safeguarded by the Armijo test below
-        if prev_grad is not None:
-            s = params - prev_params
-            y = grad - prev_grad
-            sy = float(np.dot(s, y))
-            step = float(np.dot(s, s)) / sy if sy > 0 else step * 2.0
-        else:
-            step = step * 2.0
-        step = min(max(step, 1e-18), 1e6)
-        while True:
-            trial = _retract(target, params - step * grad)
-            trial_energy, pairs = _evaluate(target, trial)
-            if trial_energy <= energy - 1e-4 * step * gnorm2:
-                break
-            step *= 0.5
-            if step < 1e-18:
-                return params, energy, iterations, True  # numerically stationary
+        gnorm = math.sqrt(gnorm2)
+        if gnorm <= grad_tol:
+            return params, energy, iterations, True, evaluations
+        # double precision can no longer resolve a change this small
+        slack = 4e-16 * (1.0 + abs(energy))
+        new_grad = None
+        if gnorm < newton_below:
+            trial = _newton_trial(target, params, pairs, grad)
+            trial_energy, trial_pairs = _evaluate(target, trial)
+            if trial_energy <= energy + slack:
+                new_grad = _gradient(target, trial, trial_pairs)
+            evaluations += 2 if new_grad is None else 3  # with the Hessian
+            if new_grad is not None and float(np.dot(new_grad, new_grad)) <= 0.25 * gnorm2:
+                pairs = trial_pairs
+            else:  # refused: BB steps until the gradient norm falls tenfold
+                new_grad = None
+                newton_below = 0.1 * gnorm
+        if new_grad is None:
+            # Barzilai-Borwein trial step, safeguarded by the Armijo test below
+            if prev_grad is not None:
+                s = params - prev_params
+                y = grad - prev_grad
+                sy = float(np.dot(s, y))
+                step = float(np.dot(s, s)) / sy if sy > 0 else step * 2.0
+            else:
+                step = step * 2.0
+            step = min(max(step, 1e-18), 1e6)
+            while True:
+                trial = _retract(target, params - step * grad)
+                trial_energy, pairs = _evaluate(target, trial)
+                evaluations += 1
+                if trial_energy <= energy - 1e-4 * step * gnorm2:
+                    break
+                step *= 0.5
+                if step < 1e-18:
+                    return params, energy, iterations, True, evaluations  # numerically stationary
+            # the Armijo test already evaluated the energy at the accepted point
+            new_grad = _gradient(target, trial, pairs)
+            evaluations += 1
         prev_params, prev_grad = params, grad
-        # the Armijo test already evaluated the energy at the accepted point
-        params, new_energy = trial, trial_energy
-        grad = _gradient(target, params, pairs)
+        params, grad = trial, new_grad
         iterations += 1
         if trace is not None:
-            trace.append(new_energy)
-        # double precision can no longer resolve progress: call it stationary
-        stalls = stalls + 1 if energy - new_energy <= 4e-16 * (1.0 + abs(energy)) else 0
-        energy = new_energy
+            trace.append(trial_energy)
+        stalls = stalls + 1 if energy - trial_energy <= slack else 0
+        energy = trial_energy
         if stalls >= 8:
-            return params, energy, iterations, True
-    return params, energy, iterations, False
+            return params, energy, iterations, True, evaluations
+    return params, energy, iterations, False, evaluations
+
+
+def _check_arguments(n: int, budget: int, restarts: int) -> None:
+    """Refuse a descent's arguments before any numpy work."""
+    if n < 2:
+        raise ValueError("need at least two points")
+    if n > MAX_POINTS:
+        raise ArithmeticError(f"{n} points exceed the {MAX_POINTS}-point bound "
+                              f"(the pair arrays grow as N^2)")
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    if restarts < 1:
+        raise ValueError("restarts must be positive")
 
 
 def minimize(target: TargetSet, n: int, seed: int = 0, budget: int = 4000,
@@ -263,24 +429,23 @@ def minimize(target: TargetSet, n: int, seed: int = 0, budget: int = 4000,
 
     Deterministic in (target, n, seed): restart k draws its start from an
     independent stream keyed by (seed, k), and the best energy wins with the
-    restart index as tie-break.
+    restart index as tie-break.  ``evaluations`` sums over every restart.
     """
-    if n < 2:
-        raise ValueError("need at least two points")
-    if budget < 1:
-        raise ValueError("budget must be positive")
+    _check_arguments(n, budget, restarts)
     require_normal_radius(target)
     best = None
+    evaluations = 0
     for k in range(restarts):
         rng = np.random.default_rng([seed, k])
         start = _initial_params(target, n, rng)
-        params, energy, iterations, converged = descend(target, start, budget, grad_tol)
+        params, energy, iterations, converged, count = descend(target, start, budget, grad_tol)
+        evaluations += count
         if best is None or energy < best[0]:
             best = (energy, params, iterations, converged)
     energy, params, iterations, converged = best
     return PointConfiguration(set=target, params=_canonicalize(target, params),
                               energy=energy, iterations=iterations,
-                              converged=converged)
+                              converged=converged, evaluations=evaluations)
 
 
 def gradient_relative_error(target: TargetSet, params, h: float = 1e-6) -> float:
@@ -313,6 +478,8 @@ def convergence_table(target: TargetSet, ns, seed: int = 0,
     ns = list(ns)
     if any(b <= a for a, b in zip(ns, ns[1:])) or any(n < 2 for n in ns):
         raise ValueError("ns must be strictly increasing, each >= 2")
+    for n in ns:
+        _check_arguments(n, budget, restarts)
     limit = analytic_energy(target)
     rows = []
     for n in ns:

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from arakelov.cli import main
+from arakelov.fekete import MAX_POINTS
 from arakelov.polynomials import (PrimitivePolynomial, discriminant,
                                   normalize_coefficients)
 
@@ -299,6 +300,12 @@ class TestWideIntervals:
         # subnormal radii are refused before any numpy work
         (["measure", "--interval", "1e-310", "--energy"], 3),
         (["fekete", "--interval", "1e-310", "--n", "4"], 3),
+        (["fekete", "--real-line", "--n", "4", "--restarts", "0"], 2),
+        (["fekete", "--real-line", "--n", "4", "--restarts", "-1"], 2),
+        (["fekete", "--real-line", "--table", "2,3", "--restarts", "0"], 2),
+        # more points than the pair arrays are allowed to hold
+        (["fekete", "--sphere", "--n", str(MAX_POINTS + 1)], 3),
+        (["fekete", "--real-line", "--table", f"4,{MAX_POINTS + 1}"], 3),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_refusals_exit_without_traceback(self, capsys, argv, want):

@@ -1,12 +1,16 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from arakelov import fekete
 from arakelov.equilibrium import Interval, RealLine, Sphere, analytic_energy
-from arakelov.fekete import (PointConfiguration, _angles_to_vectors, _energy,
-                             _gradient, _pair_scale, convergence_table, descend,
-                             discrete_energy, equally_spaced_energy,
+from arakelov.fekete import (MAX_POINTS, PointConfiguration, _angles_to_vectors,
+                             _energy, _evaluate, _gradient, _hessian, _initial_params,
+                             _pair_scale, _retract, _tangent_basis, convergence_table,
+                             descend, discrete_energy, equally_spaced_energy,
                              gradient_relative_error, minimize)
 
 TARGETS = [RealLine(), Sphere(), Interval(2.0)]
@@ -178,6 +182,101 @@ class TestGradients:
             assert gradient_relative_error(target, params) <= 1e-6
 
 
+def _newton_directions(target, params):
+    """Unit vectors of the Newton coordinates in descent parameters: on the
+    sphere each point's two tangent directions, as 3N vectors."""
+    if not isinstance(target, Sphere):
+        return np.eye(len(params))
+    x = params.reshape(3, -1)
+    n = x.shape[1]
+    rows = []
+    for e in _tangent_basis(x / np.linalg.norm(x, axis=0)):
+        for i in range(n):
+            d = np.zeros((3, n))
+            d[:, i] = e[:, i]
+            rows.append(d.ravel())
+    return np.array(rows)
+
+
+def hessian_relative_error(target, params, h=1e-6):
+    """Relative gap between the analytic Hessian and central differences of
+    the analytic gradient along the Newton coordinates."""
+    dirs = _newton_directions(target, params)
+    fd = np.array([dirs @ (_gradient(target, params + h * d) - _gradient(target, params - h * d))
+                   for d in dirs]).T / (2 * h)
+    hess = _hessian(target, params)
+    return float(np.linalg.norm(fd - hess) / np.linalg.norm(hess))
+
+
+class TestHessians:
+    @pytest.mark.parametrize("target", TARGETS + [Interval(1e10)])
+    @pytest.mark.parametrize("n", [3, 8, 24])
+    def test_matches_central_differences_of_the_gradient(self, target, n):
+        # a few descent steps keep the points apart, as for the gradient test
+        start = minimize(target, n, seed=3, budget=5, restarts=1).params
+        if isinstance(target, Sphere):
+            start = _angles_to_vectors(start)
+        rng = np.random.default_rng(n)
+        for params in (start, start + 0.01 * rng.standard_normal(len(start))):
+            assert hessian_relative_error(target, params) <= 1e-6
+        if isinstance(target, Sphere):  # off the unit vectors too
+            off = (start.reshape(3, n) * rng.uniform(0.5, 2.0, n)).ravel()
+            assert hessian_relative_error(Sphere(), off) <= 1e-6
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_symmetric(self, target):
+        start = minimize(target, 12, seed=1, budget=5, restarts=1).params
+        if isinstance(target, Sphere):
+            start = _angles_to_vectors(start)
+        hess = _hessian(target, start)
+        assert np.allclose(hess, hess.T, rtol=0, atol=1e-14 * np.abs(hess).max())
+
+    def test_rotations_are_null_directions_at_a_minimum(self):
+        line = minimize(RealLine(), 9, seed=0).params
+        assert np.abs(_hessian(RealLine(), line) @ np.ones(9)).max() <= 1e-14
+        u = _angles_to_vectors(minimize(Sphere(), 9, seed=0).params)
+        x = u.reshape(3, 9)
+        e1, e2 = _tangent_basis(x)
+        hess = _hessian(Sphere(), u)
+        for axis in np.eye(3):
+            turn = np.cross(axis[:, None], x, axis=0)  # d/dt of exp(t [axis]x) u
+            coords = np.concatenate([(e1 * turn).sum(axis=0), (e2 * turn).sum(axis=0)])
+            assert np.abs(hess @ coords).max() <= 1e-9
+
+    @pytest.mark.parametrize("target", TARGETS + [Interval(1e10)])
+    def test_newton_steps_converge_quadratically(self, target):
+        # near a minimum: from a gradient norm <= 1e-3 to <= 1e-10 in <= 4 steps
+        best = minimize(target, 16, seed=0).params
+        if isinstance(target, Sphere):
+            best = _angles_to_vectors(best)
+        noise = np.random.default_rng(16).standard_normal(len(best))
+        scale = 1e-3
+        while True:
+            start = _retract(target, best + scale * noise)
+            gnorm = np.linalg.norm(_gradient(target, start))
+            if gnorm <= 1e-3:
+                break
+            scale /= 2
+        assert gnorm >= 1e-5
+        params, _, iterations, _, _ = descend(target, start, budget=5)
+        assert iterations <= 4
+        assert np.linalg.norm(_gradient(target, params)) <= 1e-10
+
+    def test_refuses_newton_steps_back_onto_a_saddle(self):
+        # four points on the equator, alternately lifted: a Newton step goes
+        # back to the square, a critical point above the tetrahedron's energy
+        az = np.arange(4) * math.pi / 2
+        z = 1e-3 * np.array([1.0, -1.0, 1.0, -1.0])
+        rho = np.sqrt(1.0 - z * z)
+        start = np.concatenate([rho * np.cos(az), rho * np.sin(az), z])
+        assert np.linalg.norm(_gradient(Sphere(), start)) < 1e-2
+        trace: list[float] = []
+        _, energy, _, converged, _ = descend(Sphere(), start, budget=4000, trace=trace)
+        assert converged
+        assert abs(energy - (-0.5 * math.log(2 / 3))) <= 1e-14
+        assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
+
+
 class TestSphereChart:
     """Sphere descent runs on unit vectors of R^3, 3N numbers (x, y, z rows)."""
 
@@ -201,7 +300,7 @@ class TestSphereChart:
 
     def test_descent_retracts_onto_unit_vectors(self):
         x = 3.0 * np.random.default_rng(2).standard_normal(3 * 7)
-        params, energy, _, _ = descend(Sphere(), x, budget=20)
+        params, energy, _, _, _ = descend(Sphere(), x, budget=20)
         assert np.allclose(np.linalg.norm(params.reshape(3, 7), axis=0), 1.0, rtol=0, atol=4e-16)
         assert energy == _energy(Sphere(), params)
 
@@ -269,10 +368,13 @@ class TestMinimize:
             descend(RealLine(), np.array([0.1, math.nan, 0.5]), budget=10)
 
     def test_descent_is_monotone(self):
-        rng = np.random.default_rng(17)
-        trace: list[float] = []
-        descend(RealLine(), rng.random(9) * math.pi, budget=300, trace=trace)
-        assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
+        # Newton steps may rise by the stall rule's slack, 4e-16 (1 + |E|) < 1e-15 here
+        for target in TARGETS:
+            rng = np.random.default_rng(17)
+            trace: list[float] = []
+            descend(target, _initial_params(target, 9, rng), budget=300, trace=trace)
+            assert len(trace) > 2
+            assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
 
     def test_deterministic_in_seed(self):
         a = minimize(Sphere(), 6, seed=42)
@@ -293,6 +395,40 @@ class TestMinimize:
             minimize(RealLine(), 1)
         with pytest.raises(ValueError):
             minimize(RealLine(), 4, budget=0)
+        for restarts in (0, -1):
+            with pytest.raises(ValueError, match="restarts must be positive"):
+                minimize(RealLine(), 4, restarts=restarts)
+            with pytest.raises(ValueError, match="restarts must be positive"):
+                convergence_table(RealLine(), [2, 3], restarts=restarts)
+
+    def test_refuses_more_points_than_the_bound_before_allocating(self):
+        tracemalloc.start()
+        try:
+            for target in (RealLine(), Sphere(), Interval(2.0)):
+                with pytest.raises(ArithmeticError, match=f"{MAX_POINTS}-point bound"):
+                    minimize(target, MAX_POINTS + 1)
+            with pytest.raises(ArithmeticError, match=f"{MAX_POINTS}-point bound"):
+                convergence_table(RealLine(), [4, MAX_POINTS + 1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one (N, N) float array would take 8 MiB
+        assert peak < 64 * 1024
+
+    def test_the_bound_itself_is_accepted(self):
+        config = minimize(RealLine(), MAX_POINTS, budget=1, restarts=1)
+        assert config.n == MAX_POINTS
+
+    def test_evaluations_count_every_kernel_call_over_every_restart(self, monkeypatch):
+        calls = []
+        for name in ("_evaluate", "_gradient", "_hessian"):
+            kernel = getattr(fekete, name)
+            monkeypatch.setattr(fekete, name,
+                                lambda *a, kernel=kernel, **k: calls.append(1) or kernel(*a, **k))
+        config = minimize(RealLine(), 12, seed=2, restarts=3)
+        assert config.evaluations == len(calls) > 3 * config.iterations
+        assert config.to_json_dict()["evaluations"] == config.evaluations
+        json.dumps(config.to_json_dict())
 
 
 class TestConvergenceTable:
@@ -319,3 +455,56 @@ class TestConvergenceTable:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             convergence_table(RealLine(), [4, 2])
+
+
+def _bb_descend(target, params, budget, grad_tol=1e-10):
+    """Reference: Armijo-backtracked Barzilai-Borwein descent alone, the
+    descent before Newton steps, as ``(energy, converged)``."""
+    params = _retract(target, np.asarray(params, dtype=float).copy())
+    energy, pairs = _evaluate(target, params)
+    grad = _gradient(target, params, pairs)
+    step = 1.0
+    prev_params = prev_grad = None
+    stalls = 0
+    for _ in range(budget):
+        gnorm2 = float(np.dot(grad, grad))
+        if math.sqrt(gnorm2) <= grad_tol:
+            return energy, True
+        if prev_grad is not None:
+            s, y = params - prev_params, grad - prev_grad
+            sy = float(np.dot(s, y))
+            step = float(np.dot(s, s)) / sy if sy > 0 else step * 2.0
+        else:
+            step = step * 2.0
+        step = min(max(step, 1e-18), 1e6)
+        while True:
+            trial = _retract(target, params - step * grad)
+            trial_energy, pairs = _evaluate(target, trial)
+            if trial_energy <= energy - 1e-4 * step * gnorm2:
+                break
+            step *= 0.5
+            if step < 1e-18:
+                return energy, True
+        prev_params, prev_grad = params, grad
+        params, grad = trial, _gradient(target, trial, pairs)
+        stalls = stalls + 1 if energy - trial_energy <= 4e-16 * (1.0 + abs(energy)) else 0
+        energy = trial_energy
+        if stalls >= 8:
+            return energy, True
+    return energy, False
+
+
+class TestAgainstBarzilaiBorweinAlone:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 16, 32, 64])
+    @pytest.mark.parametrize("target", [RealLine(), Sphere(), Interval(1.0), Interval(1e10)],
+                             ids=["real-line", "sphere", "interval-1", "interval-1e10"])
+    def test_same_minimum(self, target, n, seed):
+        config = minimize(target, n, seed=seed)
+        runs = [_bb_descend(target, _initial_params(target, n, np.random.default_rng([seed, k])),
+                            4000) for k in range(8)]
+        energy, converged = min(runs, key=lambda run: run[0])
+        assert config.converged == converged
+        # Newton steps may end below the BB stall point, never above it
+        assert -1e-15 <= energy - config.energy <= 1e-14
+
