@@ -13,11 +13,10 @@ chart x = r sin(t) / sqrt(1 + r^2 cos^2 t), t in [-pi/2, pi/2], where
 sin(theta) = k sin(t) with k = r/sqrt(1 + r^2), its equilibrium measure is
 dt/pi, as the real line's is dtheta/pi: every interval integral runs there.
 Logarithmic kernel singularities are handled by splitting at the singular
-point and integrating each side with a tanh-sinh rule.  Potentials at points
-of the real line or an interval are rows of one tanh-sinh batch, each split
-at its point's angle: a single point is a batch of one, and the energy's
-cross-check takes the potentials at all nodes of an outer level as one
-batch.  The sphere potential is rotation invariant and is taken at |x|.
+point and integrating each side with graded Gauss-Legendre panels.  The
+potentials at points of the real line or an interval are rows of one batch,
+each split at its point's angle, and the energy's cross-check batches all
+nodes of an outer level.  The sphere potential is taken at |x|, in (u, phi).
 """
 from __future__ import annotations
 
@@ -30,8 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from .quadrature import (QuadratureError, QuadratureResult, _refine,
-                         adaptive_gauss_legendre, split_singular,
-                         tanh_sinh, tanh_sinh_nodes, tanh_sinh_rows)
+                         adaptive_gauss_legendre, graded_nodes, split_rows,
+                         split_singular)
 
 INF = complex(math.inf, 0.0)  # the point at infinity on P^1
 
@@ -189,6 +188,8 @@ def mass(target: TargetSet, tol: float = 1e-9) -> QuadratureResult:
 
 def potential(target: TargetSet, x, tol: float = 1e-8) -> QuadratureResult:
     """Integral of -log(chordal distance to x) against the equilibrium measure."""
+    if cmath.isnan(complex(x)):
+        raise ValueError(f"{x!r} is not a point of P^1")
     if isinstance(target, Sphere):
         if _is_infinite(x):
             return _sphere_tail_moment(tol)
@@ -213,13 +214,13 @@ def _half_log1p_sq(a: float) -> float:
 @lru_cache(maxsize=32)
 def _sphere_tail_moment(tol: float) -> QuadratureResult:
     # potential at infinity: integral of (1/2)log(1+rho^2) dmu = -(1/2)log u du
-    return tanh_sinh(lambda u: -0.5 * np.log(u), 0.0, 1.0, tol)
+    return split_singular(lambda u: -0.5 * np.log(u), 0.0, 1.0, (), tol)
 
 
 @lru_cache(maxsize=32)
 def _real_line_tail_moment(tol: float) -> QuadratureResult:
-    return tanh_sinh(lambda t: -np.log(np.abs(np.cos(t))) / np.pi,
-                     -np.pi / 2, np.pi / 2, tol)
+    return split_singular(lambda t: -np.log(np.abs(np.cos(t))) / np.pi,
+                          -np.pi / 2, np.pi / 2, (), tol)
 
 
 def _sphere_potential(ax: float, tol: float) -> QuadratureResult:
@@ -239,32 +240,32 @@ def _sphere_log_part(ax: float, tol: float) -> QuadratureResult:
     which the measure's radial factor integrates to du/2.  The kernel is
     log-singular at (rho, phi) = (ax, 0) and even in phi: the angular mesh
     covers [0, pi] and counts twice, and the radial mesh splits at ax, so the
-    singularity sits at a corner where the tanh-sinh product rule converges.
+    singularity sits at a corner where the product of graded panels converges.
     """
     u_x = 1.0 / (1.0 + ax * ax)
 
     def level(k, _):
-        h = 0.5 * 2.0 ** (-k)
-        pn, pw, kept = tanh_sinh_nodes(0.0, np.pi, h)
+        pn, pw, kept = graded_nodes(0.0, np.pi, k)
         pn, pw = pn[kept], pw[kept]
-        un, uw, kept = tanh_sinh_nodes((0.0, u_x), (u_x, 1.0), h)
+        un, uw, kept = graded_nodes((0.0, u_x), (u_x, 1.0), k)
         un, uw = un[kept], uw[kept]
         rho = np.sqrt(1.0 / un - 1.0)[:, None]
-        kernel = -np.log(np.hypot(ax - rho * np.cos(pn), rho * np.sin(pn)))
-        return [float(np.sum(uw[:, None] * pw * kernel)) / np.pi], [un.size * pn.size]
+        terms = uw[:, None] * pw * np.log(np.hypot(ax - rho * np.cos(pn), rho * np.sin(pn)))
+        return ([-float(np.sum(terms)) / np.pi], [un.size * pn.size],
+                [float(np.sum(np.abs(terms))) / np.pi])
     return _refine(level, 7, tol, "sphere potential product rule")[0]
 
 
 def _line_potentials(phi: np.ndarray, tol: float):
-    """Real-line potentials at the points tan(phi), one tanh-sinh row each, split at phi."""
+    """Real-line potentials at the points tan(phi), one row each, split at phi."""
     def f(rows, theta):
         return -np.log(np.abs(np.sin(phi[rows, None] - theta))) / np.pi
-    return tanh_sinh_rows(f, -np.pi / 2, np.pi / 2, phi[:, None], tol)
+    return split_rows(f, -np.pi / 2, np.pi / 2, phi[:, None], tol)
 
 
 def _interval_support_potentials(r: float, t_x: np.ndarray, tol: float):
-    """Potentials of [-r, r] at the points of chart angles t_x, one tanh-sinh
-    row each, split at t_x.
+    """Potentials of [-r, r] at the points of chart angles t_x, one row each,
+    split at t_x.
 
     In the t chart the measure is dt/pi, and with H = sqrt(1 + r^2):
     sin(theta) = k sin t, k = r/H, and cos(theta) = sqrt(1 + r^2 cos^2 t) / H.
@@ -283,7 +284,7 @@ def _interval_support_potentials(r: float, t_x: np.ndarray, tol: float):
                 / np.where(same, sx * h_t + s_t * hx, 1.0))
         far = k / big_h * (sx * h_t - hx * s_t)
         return -np.log(np.abs(np.where(same, near, far))) / np.pi
-    return tanh_sinh_rows(f, -np.pi / 2, np.pi / 2, t_x[:, None], tol)
+    return split_rows(f, -np.pi / 2, np.pi / 2, t_x[:, None], tol)
 
 
 def _interval_potential(r: float, x, tol: float) -> QuadratureResult:
@@ -297,7 +298,8 @@ def _interval_potential(r: float, x, tol: float) -> QuadratureResult:
         return np.hypot(1.0, r * np.cos(t)) / big_h
 
     if _is_infinite(x):
-        return tanh_sinh(lambda t: -np.log(cos_theta(t)) / np.pi, -np.pi / 2, np.pi / 2, tol)
+        return split_singular(lambda t: -np.log(cos_theta(t)) / np.pi,
+                              -np.pi / 2, np.pi / 2, (), tol)
     z = complex(x)
     if z.imag == 0.0 and abs(z.real) <= r:
         return _interval_support_potentials(r, np.array([_interval_t(r, z.real)]), tol)[0]
@@ -343,7 +345,7 @@ def _support_potentials(target: TargetSet, c: np.ndarray,
     """Potentials at the support points of coordinates ``c``: u = 1/(1 + |x|^2)
     on the sphere (one product rule per point), the angle theta of
     x = tan(theta) on the real line and the chart angle t on an interval (one
-    batch of tanh-sinh rows)."""
+    batch of rows)."""
     if isinstance(target, Sphere):
         return [_sphere_potential(ax, tol) for ax in np.sqrt(1.0 / c - 1.0).tolist()]
     if isinstance(target, RealLine):

@@ -1,20 +1,21 @@
-"""Self-validating quadrature: adaptive Gauss-Legendre and tanh-sinh rules.
+"""Self-validating quadrature: one Gauss-Legendre family, plain and graded.
 
 Every rule runs through successive levels until two of them agree within the
-target tolerance, reports the last disagreement as the error estimate, and
-raises ``QuadratureError`` when its levels run out first.  Integrands must be
+target tolerance, reports the last disagreement plus the level's rounding
+bound n eps sum |w_i f_i| as the error estimate, and raises
+``QuadratureError`` when its levels run out first.  Integrands must be
 vectorized (numpy array in, numpy array out).
 
-tanh-sinh (Takahasi and Mori, Publ. RIMS 9, 1974) has one panel routine,
-``tanh_sinh_rows``, for a batch of integrals over one [a, b]: row k is split
-at its own cut points, so a singular point only ever appears as a panel
-endpoint.  Each row refines on its own and stops at the level it would stop
-at alone, and a converged row is no longer evaluated.  ``tanh_sinh`` and
-``split_singular`` are batches of one.  tanh-sinh tolerates integrable
-endpoint singularities, and every panel of a level has the same number of
-nodes: a node whose distance to its endpoint would be absorbed by the
-endpoint itself keeps weight 0 and is not counted as an evaluation, so the
-rows of a batch fit one array.
+All nodes come from ``_leggauss``.  Singular integrands take them through
+Kress's grading (Numer. Math. 57, 1990), 12 * 2^k per panel at level k, in
+one panel routine, ``split_rows``, for a batch of integrals over one [a, b]:
+row k is split at its own cut points, so a singular point only ever appears
+as a panel endpoint.  Each row refines on its own and stops at the level it
+would stop at alone, and a converged row is no longer evaluated.
+``split_singular`` is a batch of one.  Every panel of a level has the same
+number of nodes: a node whose distance to its endpoint would be absorbed by
+the endpoint itself keeps weight 0 and is not counted as an evaluation, so
+the rows of a batch fit one array.
 """
 from __future__ import annotations
 
@@ -23,6 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+_EPS = float(np.finfo(float).eps)
 
 
 class QuadratureError(RuntimeError):
@@ -45,23 +48,27 @@ def _refine(level, levels: int, tol: float, rule: str,
     """The results of ``rows`` integrals, each taken at its first level
     within ``tol`` of its level before.
 
-    ``level(k, active)`` returns two lists, the values at level k of the
-    rows in the index array ``active`` and their evaluation counts; a row
-    leaves ``active`` once it has converged.  ``levels`` is the work budget:
-    a row still active after it raises.
+    ``level(k, active)`` returns three lists for the rows in the index array
+    ``active``: their values at level k, their evaluation counts n and their
+    sums of |w_i f_i|; a row leaves ``active`` once it has converged, and
+    its estimate adds n eps sum |w_i f_i| to the last step.  ``levels`` is
+    the work budget: a row still active after it raises.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     out: list = [None] * rows
     spent = [0] * rows
     active, prev, steps = np.arange(rows), None, []
     for k in range(levels):
-        values, counts = level(k, active)
+        values, counts, sums = level(k, active)
         live, steps = [], []
         for i, row in enumerate(active.tolist()):
             spent[row] += counts[i]
             if prev is not None:
                 step = abs(values[i] - prev[i])
                 if step <= tol:
-                    out[row] = QuadratureResult(values[i], step, spent[row])
+                    out[row] = QuadratureResult(
+                        values[i], step + counts[i] * _EPS * sums[i], spent[row])
                     continue
                 steps.append(step)
             live.append(i)
@@ -122,27 +129,29 @@ def adaptive_gauss_legendre(f, a: float, b: float, tol: float,
 
     def level(k, _):
         x, w = _leggauss(n0 * 2 ** k)
-        return [half * float(np.add.reduce(w * f(mid + half * x)))], [x.size]
+        terms = w * f(mid + half * x)
+        return ([half * float(np.add.reduce(terms))], [x.size],
+                [abs(half) * float(np.add.reduce(np.abs(terms)))])
     return _refine(level, max_doublings + 1, tol,
                    f"Gauss-Legendre up to n={n0 * 2 ** max_doublings}")[0]
 
 
 @lru_cache(maxsize=32)
-def _tanh_sinh_reference(h: float, t_max: float):
-    """One tanh-sinh mesh for a half-width of 1: for each node, whether it
-    lies below the centre, the sign (+1 or -1) of its offset from its
-    endpoint, that offset (the distance to the nearest endpoint, the centre's
-    measured from the upper one) and its weight.  Only copies leave
-    ``tanh_sinh_nodes``."""
-    t = np.arange(-int(np.ceil(t_max / h)), int(np.ceil(t_max / h)) + 1) * h
-    s = 0.5 * np.pi * np.sinh(t)
-    w = h * 0.5 * np.pi * np.cosh(t) / np.cosh(s) ** 2
-    # distance to the nearest endpoint, computed without cancellation
-    em = np.exp(-2.0 * np.abs(s))
-    return s < 0, np.where(s < 0, 1.0, -1.0), 2.0 * em / (1.0 + em), w
+def _graded_reference(n: int):
+    """n Gauss-Legendre nodes x under Kress's grading s -> s^4 / (s^4 + (1 - s)^4),
+    s = (1 + x)/2, whose Jacobian vanishes to third order at both ends: for
+    each node, whether it lies below the centre, the sign (+1 or -1) of its
+    offset from its endpoint, that offset (the distance to the nearest end of
+    [-1, 1]) and its weight.  Only copies leave ``graded_nodes``."""
+    x, w = _leggauss(n)
+    s, c = 0.5 * (1.0 + x), 0.5 * (1.0 - x)  # s and 1 - s, each exact near its end
+    s4, c4 = s ** 4, c ** 4
+    left = x < 0
+    return (left, np.where(left, 1.0, -1.0), 2.0 * np.where(left, s4, c4) / (s4 + c4),
+            w * 4.0 * (s * c) ** 3 / (s4 + c4) ** 2)
 
 
-_FOUR_EPS = 4.0 * np.finfo(float).eps
+_FOUR_EPS = 4.0 * _EPS
 
 
 def _floor(end):
@@ -150,8 +159,8 @@ def _floor(end):
     return np.maximum(_FOUR_EPS * np.abs(end), 5e-305)
 
 
-def tanh_sinh_nodes(a, b, h: float, t_max: float = 4.5):
-    """Nodes, weights and kept-node mask of one tanh-sinh mesh on each panel [a, b].
+def graded_nodes(a, b, k: int):
+    """Nodes, weights and kept-node mask of level k (12 * 2^k graded nodes) on each panel [a, b].
 
     ``a`` and ``b`` are floats or arrays of one shape; the results add one
     axis, of the same length for every panel.  The weights absorb the
@@ -161,7 +170,7 @@ def tanh_sinh_nodes(a, b, h: float, t_max: float = 4.5):
     that is not absorbed, on the panel's side of the endpoint (outside an
     empty panel), where an endpoint-singular integrand is finite.
     """
-    left, sign, off, w = _tanh_sinh_reference(h, t_max)
+    left, sign, off, w = _graded_reference(12 * 2 ** k)
     a = np.asarray(a, dtype=float)[..., None]
     b = np.asarray(b, dtype=float)[..., None]
     half = 0.5 * (b - a)
@@ -172,9 +181,9 @@ def tanh_sinh_nodes(a, b, h: float, t_max: float = 4.5):
     return ends + sign * np.maximum(off, floor), np.where(kept, half * w, 0.0), kept
 
 
-def tanh_sinh_rows(f, a: float, b: float, cuts, tol: float,
-                   max_level: int = 10) -> list[QuadratureResult]:
-    """tanh-sinh integrals over [a, b], one per row of ``cuts``.
+def split_rows(f, a: float, b: float, cuts, tol: float,
+               max_level: int = 10) -> list[QuadratureResult]:
+    """Integrals over [a, b], one per row of ``cuts``, by graded panels.
 
     Row k is split at the points cuts[k], ascending in [a, b], and integrates
     f(rows, x)[i] where rows[i] = k: ``f`` gets the indices of the rows it
@@ -195,13 +204,15 @@ def tanh_sinh_rows(f, a: float, b: float, cuts, tol: float,
 
     def level(k, rows):
         bounds = (lo, hi) if rows.size == n else (lo[rows], hi[rows])
-        x, w, kept = tanh_sinh_nodes(*bounds, 2.0 ** -k)
+        x, w, kept = graded_nodes(*bounds, k)
         x, w = x.reshape(rows.size, -1), w.reshape(rows.size, -1)
         if clip:
             x = np.minimum(np.maximum(x, inside[0]), inside[1])
-        return (np.add.reduce(w * f(rows, x), axis=1).tolist(),
-                np.add.reduce(kept, axis=(1, 2)).tolist())
-    return _refine(level, max_level + 1, tol, f"tanh-sinh down to h={2.0 ** -max_level:g}", n)
+        terms = w * f(rows, x)
+        return (np.add.reduce(terms, axis=1).tolist(),
+                np.add.reduce(kept, axis=(1, 2)).tolist(),
+                np.add.reduce(np.abs(terms), axis=1).tolist())
+    return _refine(level, max_level + 1, tol, f"graded panels up to n={12 * 2 ** max_level}", n)
 
 
 def _alone(f):
@@ -209,17 +220,11 @@ def _alone(f):
     return lambda rows, x: f(x[0])[None]
 
 
-def tanh_sinh(f, a: float, b: float, tol: float,
-              max_level: int = 10) -> QuadratureResult:
-    """Double-exponential rule on [a, b]; robust to endpoint singularities."""
-    return tanh_sinh_rows(_alone(f), a, b, [[]], tol, max_level)[0]
-
-
 def split_singular(f, a: float, b: float, cuts, tol: float) -> QuadratureResult:
     """Integrate f over [a, b] with interior singularities at ``cuts``.
 
-    ``cuts`` is one point or several.  tanh-sinh runs on every panel between
-    them, so a singular point only ever appears as a panel endpoint.
+    ``cuts`` is none, one point or several.  Graded panels run between them,
+    so a singular point only ever appears as a panel endpoint.
     """
     points = sorted(set(np.atleast_1d(cuts).tolist()))
-    return tanh_sinh_rows(_alone(f), a, b, [points], tol)[0]
+    return split_rows(_alone(f), a, b, [points], tol)[0]

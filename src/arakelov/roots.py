@@ -63,8 +63,8 @@ def complex_roots(f: PrimitivePolynomial, tol: float = 1e-12) -> CertifiedComple
 
     Raises :class:`RootFindingError` if no rung certifies them.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     coeffs = f.coeffs
     for centers, radii in _passes(coeffs):
         if _certify_exact(coeffs, centers, radii, tol):

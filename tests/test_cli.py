@@ -306,6 +306,15 @@ class TestWideIntervals:
         # more points than the pair arrays are allowed to hold
         (["fekete", "--sphere", "--n", str(MAX_POINTS + 1)], 3),
         (["fekete", "--real-line", "--table", f"4,{MAX_POINTS + 1}"], 3),
+        # a NaN point or tolerance is refused before any quadrature or root work
+        (["measure", "--sphere", "--potential-at", "nan"], 2),
+        (["measure", "--sphere", "--potential-at", "1+nanj"], 2),
+        (["measure", "--real-line", "--potential-at", "nan"], 2),
+        (["measure", "--interval", "2", "--potential-at", "nan"], 2),
+        (["measure", "--real-line", "--energy", "--tol", "0"], 2),
+        (["measure", "--real-line", "--energy", "--tol", "-1"], 2),
+        (["measure", "--real-line", "--energy", "--tol", "nan"], 2),
+        (["height", "--poly", "x^2 - 2", "--tol", "nan"], 2),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_refusals_exit_without_traceback(self, capsys, argv, want):
@@ -314,6 +323,12 @@ class TestWideIntervals:
         assert code == want
         assert captured.out == ""
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("target", [["--sphere"], ["--real-line"], ["--interval", "2"]],
+                             ids=" ".join)
+    def test_nan_point_names_the_point(self, capsys, target):
+        assert main(["measure", *target, "--potential-at", "nan"]) == 2
+        assert capsys.readouterr().err == "error: (nan+0j) is not a point of P^1\n"
 
     def test_bound_at_huge_radius_is_strict_json(self, capsys):
         code, out = run_cli(capsys, "bounds", "--places", "inf,2", "--r", "1e200",

@@ -13,7 +13,7 @@ from arakelov.equilibrium import (INF, Interval, RealLine, Sphere,
                                   green_interval, harmonic_measure_interval,
                                   mass, potential)
 from arakelov.quadrature import (QuadratureError, QuadratureResult,
-                                 adaptive_gauss_legendre, tanh_sinh)
+                                 adaptive_gauss_legendre, split_singular)
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -168,6 +168,52 @@ class TestPotential:
         result = potential(Interval(r), r * math.sin(psi), tol=1e-8)
         assert result.est_error <= 1e-8
         assert result.value == pytest.approx(analytic_energy(Interval(r)), abs=1e-7)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("target", [Sphere(), RealLine(), Interval(2.0)],
+                             ids=["sphere", "line", "interval"])
+    @pytest.mark.parametrize("x", [math.nan, complex(1.0, math.nan), complex(math.inf, math.nan)],
+                             ids=["nan", "1+nanj", "inf+nanj"])
+    def test_nan_point_refused_before_quadrature(self, monkeypatch, target, x):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature started")
+        for name in ("_refine", "split_rows", "split_singular"):
+            monkeypatch.setattr(equilibrium, name, no_quadrature)
+        with pytest.raises(ValueError, match="is not a point of P\\^1"):
+            potential(target, x)
+
+
+class TestStatedErrors:
+    """Every closed-form quantity lies within its stated ``est_error``: masses
+    on all three sets, and potentials on the supports, where they equal the
+    minimal energy, at three tolerances."""
+
+    RADII = np.geomspace(1e-3, 1e12, 31).tolist()
+
+    @classmethod
+    def _cases(cls, tol):
+        yield mass(Sphere(), tol), 1.0
+        yield mass(RealLine(), tol), 1.0
+        for r in cls.RADII:
+            target = Interval(r)
+            yield mass(target, tol), 1.0
+            for u in np.linspace(-2 / 3, 2 / 3, 5).tolist():
+                yield potential(target, r * u, tol), analytic_energy(target)
+        for x in (0.0, 0.5, -3.0, 1e3, INF):
+            yield potential(RealLine(), x, tol), math.log(2)
+        for z in (0.0, 0.3 + 0.4j, 2j, INF):
+            yield potential(Sphere(), z, tol), 0.5
+
+    def test_no_estimate_is_understated(self):
+        seen, understated = 0, []
+        for tol in (1e-6, 1e-8, 1e-10):
+            for result, exact in self._cases(tol):
+                seen += 1
+                if abs(result.value - exact) > result.est_error:
+                    understated.append((tol, result, exact))
+        assert seen == 591
+        assert understated == []
 
 
 class TestEnergy:
@@ -374,10 +420,10 @@ class TestHarmonicMeasure:
 
     def test_two_schemes_agree(self):
         first = harmonic_measure_interval(2.0, -1.0, 1.0).value
-        # independent route: tanh-sinh directly against the x-space density
-        second = tanh_sinh(lambda x: np.array([density(Interval(2.0), float(v))
-                                               for v in np.atleast_1d(x)]),
-                           -1.0, 1.0, 1e-10).value
+        # independent route: graded panels directly against the x-space density
+        second = split_singular(lambda x: np.array([density(Interval(2.0), float(v))
+                                                    for v in np.atleast_1d(x)]),
+                                -1.0, 1.0, (), 1e-10).value
         assert 0.0 < first < 1.0
         assert first == pytest.approx(second, abs=1e-7)
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from arakelov.quadrature import (QuadratureError, _leggauss,
-                                 adaptive_gauss_legendre, split_singular,
-                                 tanh_sinh, tanh_sinh_rows)
+                                 adaptive_gauss_legendre, split_rows,
+                                 split_singular)
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -46,20 +46,20 @@ def test_gauss_legendre_smooth():
     assert result.value == pytest.approx(2.0, abs=1e-11)
 
 
-def test_tanh_sinh_log_endpoint():
-    result = tanh_sinh(np.log, 0.0, 1.0, 1e-12)
+def test_graded_log_endpoint():
+    result = split_singular(np.log, 0.0, 1.0, (), 1e-12)
     assert result.value == pytest.approx(-1.0, abs=1e-11)
 
 
-def test_tanh_sinh_inverse_sqrt():
-    result = tanh_sinh(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 1e-11)
+def test_graded_inverse_sqrt():
+    result = split_singular(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, (), 1e-11)
     assert result.value == pytest.approx(2.0, abs=1e-10)
 
 
-def test_tanh_sinh_both_endpoints_singular():
+def test_graded_both_endpoints_singular():
     # the x=1 endpoint cannot be approached closer than ~eps, which caps the
     # reachable accuracy for algebraic singularities there near sqrt(eps)
-    result = tanh_sinh(lambda x: 1.0 / np.sqrt(x * (1.0 - x)), 0.0, 1.0, 1e-6)
+    result = split_singular(lambda x: 1.0 / np.sqrt(x * (1.0 - x)), 0.0, 1.0, (), 1e-6)
     assert result.value == pytest.approx(math.pi, abs=3e-6)
 
 
@@ -78,7 +78,7 @@ def test_split_singular_several_cuts():
 
 
 class TestRows:
-    """One tanh-sinh routine: row k of a batch is the lone integral split at its cuts."""
+    """One panel routine: row k of a batch is the lone integral split at its cuts."""
 
     # an empty panel at either end and between equal cuts
     CUTS = [[0.3, 0.7], [0.0, 0.5], [0.5, 1.0], [0.2, 0.2], [0.0, 1.0], [0.1, 0.9]]
@@ -98,9 +98,9 @@ class TestRows:
 
     def test_rows_are_batches_of_one(self):
         cuts = np.array(self.CUTS)
-        rows = tanh_sinh_rows(self._family, 0.0, 1.0, cuts, 1e-11)
+        rows = split_rows(self._family, 0.0, 1.0, cuts, 1e-11)
         for k, row in enumerate(rows):
-            alone = tanh_sinh_rows(lambda _, x, k=k: self._family(np.array([k]), x),
+            alone = split_rows(lambda _, x, k=k: self._family(np.array([k]), x),
                                    0.0, 1.0, cuts[k:k + 1], 1e-11)
             assert row == alone[0]
             exact = self._log_integral(cuts[k][0]) + (k % 2) * 2.0 / 3.0
@@ -108,7 +108,7 @@ class TestRows:
 
     def test_distinct_cuts_match_split_singular(self):
         cuts = np.array(self.CUTS)
-        rows = tanh_sinh_rows(self._family, 0.0, 1.0, cuts, 1e-11)
+        rows = split_rows(self._family, 0.0, 1.0, cuts, 1e-11)
         for k in (0, 5):
             lone = split_singular(lambda x, k=k: self._family(np.array([k]), x[None])[0],
                                   0.0, 1.0, cuts[k], 1e-11)
@@ -121,17 +121,17 @@ class TestRows:
             seen.append(rows.tolist())
             # row 0 vanishes, so it converges at the first comparison
             return np.where(rows[:, None] == 0, 0.0, np.log(x))
-        rows = tanh_sinh_rows(f, 0.0, 1.0, np.empty((2, 0)), 1e-12)
-        assert rows[0] == tanh_sinh(np.zeros_like, 0.0, 1.0, 1e-12)
-        assert rows[1] == tanh_sinh(np.log, 0.0, 1.0, 1e-12)
+        rows = split_rows(f, 0.0, 1.0, np.empty((2, 0)), 1e-12)
+        assert rows[0] == split_singular(np.zeros_like, 0.0, 1.0, (), 1e-12)
+        assert rows[1] == split_singular(np.log, 0.0, 1.0, (), 1e-12)
         assert seen[:2] == [[0, 1], [0, 1]]
         assert len(seen) > 2 and all(active == [1] for active in seen[2:])
 
     def test_cuts_must_ascend_within_the_interval(self):
         with pytest.raises(ValueError):
-            tanh_sinh_rows(lambda rows, x: x, 0.0, 1.0, [[0.7, 0.3]], 1e-8)
+            split_rows(lambda rows, x: x, 0.0, 1.0, [[0.7, 0.3]], 1e-8)
         with pytest.raises(ValueError):
-            tanh_sinh_rows(lambda rows, x: x, 0.0, 1.0, [[1.5]], 1e-8)
+            split_rows(lambda rows, x: x, 0.0, 1.0, [[1.5]], 1e-8)
         with pytest.raises(ValueError):
             split_singular(np.exp, 0.0, 1.0, 2.0, 1e-8)
 
@@ -140,12 +140,33 @@ class TestRows:
 
         def f(rows, x):
             return np.where(rows[:, None] == 0, 0.0, rng.random(x.shape))
-        with pytest.raises(QuadratureError, match="tanh-sinh down to h=0.25 stalled"):
-            tanh_sinh_rows(f, 0.0, 1.0, np.empty((2, 0)), 1e-12, max_level=2)
+        with pytest.raises(QuadratureError, match="graded panels up to n=48 stalled"):
+            split_rows(f, 0.0, 1.0, np.empty((2, 0)), 1e-12, max_level=2)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("integrate", [
+    lambda f, tol: adaptive_gauss_legendre(f, 0.0, 1.0, tol),
+    lambda f, tol: split_singular(f, 0.0, 1.0, 0.5, tol),
+    lambda f, tol: split_rows(lambda rows, x: f(x), 0.0, 1.0, [[0.5]], tol),
+], ids=["gauss-legendre", "split-singular", "split-rows"])
+def test_tol_must_be_positive(integrate, tol):
+    def never(x):
+        raise AssertionError("integrand evaluated")
+    with pytest.raises(ValueError, match="tol must be positive"):
+        integrate(never, tol)
+
+
+def test_exact_levels_still_state_rounding():
+    # a constant agrees exactly between levels, and the estimate is the
+    # rounding bound n eps sum |w_i f_i| of the converged level, n = 32
+    result = adaptive_gauss_legendre(np.ones_like, 0.0, 3.0, 1e-12)
+    assert result.value == pytest.approx(3.0, abs=1e-15)
+    assert result.est_error == pytest.approx(32 * np.finfo(float).eps * 3.0, rel=1e-12)
 
 
 def test_degenerate_interval():
-    assert tanh_sinh(np.exp, 2.0, 2.0, 1e-10).value == 0.0
+    assert split_singular(np.exp, 2.0, 2.0, (), 1e-10).value == 0.0
 
 
 def test_error_estimate_is_refinement_gap():

@@ -88,6 +88,11 @@ class TestCertificates:
         with pytest.raises(ValueError):
             complex_roots(parse_polynomial("x^2 - 2"), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_rejects_negative_and_nan_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            complex_roots(parse_polynomial("x^2 - 2"), tol=tol)
+
     def test_tight_cluster_still_certifies(self):
         # roots 0, 1e-6, 1: (x)(10^6 x - 1)(x - 1) scaled to integers
         f = PrimitivePolynomial.from_coeffs([0, 1, -1000001, 1000000])
