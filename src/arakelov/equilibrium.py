@@ -12,11 +12,13 @@ interval [-r, r] is the arc |theta| <= atan(r) of the real line, and in the
 chart x = r sin(t) / sqrt(1 + r^2 cos^2 t), t in [-pi/2, pi/2], where
 sin(theta) = k sin(t) with k = r/sqrt(1 + r^2), its equilibrium measure is
 dt/pi, as the real line's is dtheta/pi: every interval integral runs there.
-Logarithmic kernel singularities are handled by splitting at the singular
-point and integrating each side with graded Gauss-Legendre panels.  The
-potentials at points of the real line or an interval are rows of one batch,
-each split at its point's angle, and the energy's cross-check batches all
-nodes of an outer level.  The sphere potential is taken at |x|, in (u, phi).
+On the sphere, Jensen's formula takes the mean over the angle exactly, so
+its potential is a radial integral in u.  Logarithmic kernel singularities
+and kinks are handled by splitting at the singular point and integrating
+each side with graded Gauss-Legendre panels.  On each target set the
+potentials at support points are rows of one batch, each split at its
+point's coordinate, and the energy's cross-check batches all nodes of an
+outer level.
 """
 from __future__ import annotations
 
@@ -24,13 +26,11 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import (QuadratureError, QuadratureResult, _refine,
-                         adaptive_gauss_legendre, graded_nodes, split_rows,
-                         split_singular)
+from .quadrature import (QuadratureError, QuadratureResult,
+                         adaptive_gauss_legendre, split_rows, split_singular)
 
 INF = complex(math.inf, 0.0)  # the point at infinity on P^1
 
@@ -106,7 +106,14 @@ def density(target: TargetSet, x) -> float:
         z = complex(x)
         if _is_infinite(z):
             raise ValueError("sphere density is expressed in the finite chart")
-        return 1.0 / (math.pi * (1.0 + abs(z) ** 2) ** 2)
+        try:
+            value = 1.0 / (math.pi * (1.0 + abs(z) ** 2) ** 2)
+        except OverflowError:
+            value = 0.0
+        if value == 0.0:  # pi (1 + |z|^2)^2 overflowed: |z| > 8.7e76, so 1 + |z|^2 = |z|^2
+            a = math.hypot(z.real, z.imag)  # inf where abs(z) would raise
+            value = 1.0 / math.pi / a / a / a / a
+        return value
     if isinstance(target, RealLine):
         xr = _require_real(x)
         return 1.0 / (math.pi * (1.0 + xr * xr))
@@ -191,13 +198,12 @@ def potential(target: TargetSet, x, tol: float = 1e-8) -> QuadratureResult:
     if cmath.isnan(complex(x)):
         raise ValueError(f"{x!r} is not a point of P^1")
     if isinstance(target, Sphere):
-        if _is_infinite(x):
-            return _sphere_tail_moment(tol)
-        return _sphere_potential(abs(complex(x)), tol)
+        z = complex(x)
+        a = math.hypot(z.real, z.imag)  # inf where abs(z) would raise
+        return _sphere_potentials(np.array([1.0 / (1.0 + a * a)]), tol)[0]
     if isinstance(target, RealLine):
-        if _is_infinite(x):
-            return _real_line_tail_moment(tol)
-        return _line_potentials(np.array([math.atan(_require_real(x))]), tol)[0]
+        phi = math.pi / 2 if _is_infinite(x) else math.atan(_require_real(x))
+        return _line_potentials(np.array([phi]), tol)[0]
     if isinstance(target, Interval):
         require_normal_radius(target)
         return _interval_potential(target.r, x, tol)
@@ -211,49 +217,20 @@ def _half_log1p_sq(a: float) -> float:
     return 0.5 * math.log1p(a * a)
 
 
-@lru_cache(maxsize=32)
-def _sphere_tail_moment(tol: float) -> QuadratureResult:
-    # potential at infinity: integral of (1/2)log(1+rho^2) dmu = -(1/2)log u du
-    return split_singular(lambda u: -0.5 * np.log(u), 0.0, 1.0, (), tol)
+def _sphere_potentials(c: np.ndarray, tol: float):
+    """Sphere potentials at the points of moduli |x| with c = 1/(1 + |x|^2),
+    one row each, split at c.
 
-
-@lru_cache(maxsize=32)
-def _real_line_tail_moment(tol: float) -> QuadratureResult:
-    return split_singular(lambda t: -np.log(np.abs(np.cos(t))) / np.pi,
-                          -np.pi / 2, np.pi / 2, (), tol)
-
-
-def _sphere_potential(ax: float, tol: float) -> QuadratureResult:
-    """The sphere potential at any point of modulus ``ax``."""
-    tail = _sphere_tail_moment(tol / 4)
-    log_part = _sphere_log_part(ax, tol / 2)
-    value = log_part.value + tail.value + _half_log1p_sq(ax)
-    return QuadratureResult(value, log_part.est_error + tail.est_error,
-                            log_part.evaluations + tail.evaluations)
-
-
-def _sphere_log_part(ax: float, tol: float) -> QuadratureResult:
-    """integral of -log|ax - w| dmu(w) in polar coordinates at the origin.
-
-    The measure is rotation invariant, so the point is taken on the positive
-    real axis.  The radial variable is compactified by u = 1/(1+rho^2), under
-    which the measure's radial factor integrates to du/2.  The kernel is
-    log-singular at (rho, phi) = (ax, 0) and even in phi: the angular mesh
-    covers [0, pi] and counts twice, and the radial mesh splits at ax, so the
-    singularity sits at a corner where the product of graded panels converges.
+    In u = 1/(1 + rho^2) the measure is du dphi / 2pi on [0, 1], and by
+    Jensen's formula the mean over phi of -log|x - rho e^(i phi)| is
+    -log max(|x|, rho), so the chordal kernel averages to
+    -(1/2) log max(u (1 - c), c (1 - u)): one radial integral with a kink at
+    u = c.  The point at infinity is c = 0.
     """
-    u_x = 1.0 / (1.0 + ax * ax)
-
-    def level(k, _):
-        pn, pw, kept = graded_nodes(0.0, np.pi, k)
-        pn, pw = pn[kept], pw[kept]
-        un, uw, kept = graded_nodes((0.0, u_x), (u_x, 1.0), k)
-        un, uw = un[kept], uw[kept]
-        rho = np.sqrt(1.0 / un - 1.0)[:, None]
-        terms = uw[:, None] * pw * np.log(np.hypot(ax - rho * np.cos(pn), rho * np.sin(pn)))
-        return ([-float(np.sum(terms)) / np.pi], [un.size * pn.size],
-                [float(np.sum(np.abs(terms))) / np.pi])
-    return _refine(level, 7, tol, "sphere potential product rule")[0]
+    def f(rows, u):
+        cx = c[rows, None]
+        return -0.5 * np.log(np.maximum(u * (1.0 - cx), cx * (1.0 - u)))
+    return split_rows(f, 0.0, 1.0, c[:, None], tol)
 
 
 def _line_potentials(phi: np.ndarray, tol: float):
@@ -342,12 +319,11 @@ def _energy_single(target: TargetSet, tol: float) -> QuadratureResult:
 
 def _support_potentials(target: TargetSet, c: np.ndarray,
                         tol: float) -> list[QuadratureResult]:
-    """Potentials at the support points of coordinates ``c``: u = 1/(1 + |x|^2)
-    on the sphere (one product rule per point), the angle theta of
-    x = tan(theta) on the real line and the chart angle t on an interval (one
-    batch of rows)."""
+    """Potentials at the support points of coordinates ``c``, one batch of
+    rows: u = 1/(1 + |x|^2) on the sphere, the angle theta of x = tan(theta)
+    on the real line and the chart angle t on an interval."""
     if isinstance(target, Sphere):
-        return [_sphere_potential(ax, tol) for ax in np.sqrt(1.0 / c - 1.0).tolist()]
+        return _sphere_potentials(c, tol)
     if isinstance(target, RealLine):
         return _line_potentials(c, tol)
     return _interval_support_potentials(target.r, c, tol)
@@ -416,6 +392,7 @@ def green_interval(z, r: float) -> float:
 
 def harmonic_measure_interval(r: float, a: float, b: float) -> QuadratureResult:
     """Harmonic measure (seen from i) of [a, b] in [-r, r]: (t_b - t_a)/pi in the arc chart."""
+    require_normal_radius(Interval(r))
     if not (-r <= a < b <= r):
         raise ValueError(f"need -r <= a < b <= r, got a={a}, b={b}, r={r}")
     return QuadratureResult((_interval_t(r, b) - _interval_t(r, a)) / math.pi, 0.0, 0)

@@ -6,13 +6,15 @@ bound n eps sum |w_i f_i| as the error estimate, and raises
 ``QuadratureError`` when its levels run out first.  Integrands must be
 vectorized (numpy array in, numpy array out).
 
-All nodes come from ``_leggauss``.  Singular integrands take them through
+All nodes come from ``_leggauss``.  Smooth integrands take them plainly,
+16 * 2^k at level k.  Singular integrands take them through
 Kress's grading (Numer. Math. 57, 1990), 12 * 2^k per panel at level k, in
 one panel routine, ``split_rows``, for a batch of integrals over one [a, b]:
 row k is split at its own cut points, so a singular point only ever appears
 as a panel endpoint.  Each row refines on its own and stops at the level it
 would stop at alone, and a converged row is no longer evaluated.
-``split_singular`` is a batch of one.  Every panel of a level has the same
+``split_singular`` is a batch of one, and every singular integral of the
+package is a row of ``split_rows``.  Every panel of a level has the same
 number of nodes: a node whose distance to its endpoint would be absorbed by
 the endpoint itself keeps weight 0 and is not counted as an evaluation, so
 the rows of a batch fit one array.
@@ -123,17 +125,17 @@ def _leggauss(n: int):
 
 
 def adaptive_gauss_legendre(f, a: float, b: float, tol: float,
-                            n0: int = 16, max_doublings: int = 11) -> QuadratureResult:
-    """Gauss-Legendre with node-count doubling until two levels agree."""
+                            max_doublings: int = 11) -> QuadratureResult:
+    """Gauss-Legendre from 16 nodes, doubling until two levels agree."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
 
     def level(k, _):
-        x, w = _leggauss(n0 * 2 ** k)
+        x, w = _leggauss(16 * 2 ** k)
         terms = w * f(mid + half * x)
         return ([half * float(np.add.reduce(terms))], [x.size],
                 [abs(half) * float(np.add.reduce(np.abs(terms)))])
     return _refine(level, max_doublings + 1, tol,
-                   f"Gauss-Legendre up to n={n0 * 2 ** max_doublings}")[0]
+                   f"Gauss-Legendre up to n={16 * 2 ** max_doublings}")[0]
 
 
 @lru_cache(maxsize=32)
@@ -142,7 +144,7 @@ def _graded_reference(n: int):
     s = (1 + x)/2, whose Jacobian vanishes to third order at both ends: for
     each node, whether it lies below the centre, the sign (+1 or -1) of its
     offset from its endpoint, that offset (the distance to the nearest end of
-    [-1, 1]) and its weight.  Only copies leave ``graded_nodes``."""
+    [-1, 1]) and its weight.  Only copies leave ``_graded_nodes``."""
     x, w = _leggauss(n)
     s, c = 0.5 * (1.0 + x), 0.5 * (1.0 - x)  # s and 1 - s, each exact near its end
     s4, c4 = s ** 4, c ** 4
@@ -159,7 +161,7 @@ def _floor(end):
     return np.maximum(_FOUR_EPS * np.abs(end), 5e-305)
 
 
-def graded_nodes(a, b, k: int):
+def _graded_nodes(a, b, k: int):
     """Nodes, weights and kept-node mask of level k (12 * 2^k graded nodes) on each panel [a, b].
 
     ``a`` and ``b`` are floats or arrays of one shape; the results add one
@@ -204,7 +206,7 @@ def split_rows(f, a: float, b: float, cuts, tol: float,
 
     def level(k, rows):
         bounds = (lo, hi) if rows.size == n else (lo[rows], hi[rows])
-        x, w, kept = graded_nodes(*bounds, k)
+        x, w, kept = _graded_nodes(*bounds, k)
         x, w = x.reshape(rows.size, -1), w.reshape(rows.size, -1)
         if clip:
             x = np.minimum(np.maximum(x, inside[0]), inside[1])

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -43,6 +44,14 @@ class TestDensity:
         # r*r overflows here, and the density never forms it: no refusal is needed
         assert density(Interval(1e200), 0.5) == pytest.approx(1 / (1.25 * math.pi),
                                                               rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("x", [1e77, 1e78, 1e80, 1e300, 1e78j,
+                                   complex(1.5e308, 1.5e308)])
+    def test_sphere_far_out(self, x):
+        # pi (1 + |x|^2)^2 overflows from |x| of about 8.7e76; the density is
+        # 1/(pi |x|^4) there, subnormal up to about 1e81 and then 0, also
+        # where |x| itself leaves the double range
+        assert density(Sphere(), x) == float(1 / (mpmath.pi * abs(mpmath.mpc(x)) ** 4))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -151,9 +160,20 @@ class TestPotential:
             b = potential(Sphere(), 1 / z.conjugate(), tol=1e-9).value
             assert a == pytest.approx(b, abs=1e-8)
 
+    @pytest.mark.parametrize("a, rho", [(0.5, 2.0), (2.0, 0.5), (1.0, 1.0), (3.0, 3.0)])
+    def test_jensen_mean_over_the_angle(self, a, rho):
+        # the sphere potential rests on mean over phi of -log|a - rho e^(i phi)|
+        # being -log max(a, rho); the kernel is even in phi
+        result = split_singular(
+            lambda phi: -np.log(np.hypot(a - rho * np.cos(phi), rho * np.sin(phi))) / np.pi,
+            0.0, np.pi, (), 1e-12)
+        assert abs(result.value + math.log(max(a, rho))) <= result.est_error
+
     def test_sphere_at_huge_argument(self):
         # (1/2) log(1 + x^2) overflows x^2 here; the potential is 1/2 on all of P^1
         assert potential(Sphere(), 1e200).value == pytest.approx(0.5, abs=1e-8)
+        far = potential(Sphere(), complex(1.5e308, 1.5e308))  # |x| beyond the double range
+        assert abs(far.value - 0.5) <= far.est_error
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 4.0])
     def test_interval_at_huge_argument_matches_infinity(self, r):
@@ -178,7 +198,7 @@ class TestRefusals:
     def test_nan_point_refused_before_quadrature(self, monkeypatch, target, x):
         def no_quadrature(*args, **kwargs):
             raise AssertionError("quadrature started")
-        for name in ("_refine", "split_rows", "split_singular"):
+        for name in ("split_rows", "split_singular"):
             monkeypatch.setattr(equilibrium, name, no_quadrature)
         with pytest.raises(ValueError, match="is not a point of P\\^1"):
             potential(target, x)
@@ -202,7 +222,7 @@ class TestStatedErrors:
                 yield potential(target, r * u, tol), analytic_energy(target)
         for x in (0.0, 0.5, -3.0, 1e3, INF):
             yield potential(RealLine(), x, tol), math.log(2)
-        for z in (0.0, 0.3 + 0.4j, 2j, INF):
+        for z in (0.0, 0.3 + 0.4j, 2j, INF, 1e-300, 1e-8, 1e8, 1e200):
             yield potential(Sphere(), z, tol), 0.5
 
     def test_no_estimate_is_understated(self):
@@ -212,7 +232,7 @@ class TestStatedErrors:
                 seen += 1
                 if abs(result.value - exact) > result.est_error:
                     understated.append((tol, result, exact))
-        assert seen == 591
+        assert seen == 603
         assert understated == []
 
 
@@ -304,6 +324,19 @@ class TestBatchedPotentials:
         # panel ends at +-pi/2 (empty panels), the centre, and a spread in between
         return np.concatenate(([-np.pi / 2, np.pi / 2, 0.0, 1e-300],
                                np.pi * (rng.random(12) - 0.5)))
+
+    def test_sphere_rows_are_batches_of_one(self):
+        # c = 0 is the point at infinity and c = 1 the origin, both panel ends
+        rng = np.random.default_rng(10)
+        c = np.concatenate(([0.0, 1.0, 0.5, 1e-300], rng.random(12)))
+        rows = equilibrium._sphere_potentials(c, 1e-9)
+        for k, row in enumerate(rows):
+            assert row == equilibrium._sphere_potentials(c[k:k + 1], 1e-9)[0]
+            assert abs(row.value - 0.5) <= row.est_error
+        a = math.hypot(0.3, 0.4)
+        assert potential(Sphere(), 0.3 + 0.4j, 1e-9) == equilibrium._sphere_potentials(
+            np.array([1 / (1 + a * a)]), 1e-9)[0]
+        assert potential(Sphere(), INF, 1e-9) == rows[0]
 
     def test_real_line_rows_are_batches_of_one(self):
         phi = self._angles(np.random.default_rng(11))
@@ -430,6 +463,14 @@ class TestHarmonicMeasure:
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             harmonic_measure_interval(2.0, 1.0, -1.0)
+
+    @pytest.mark.parametrize("r, error", [(math.inf, ValueError), (math.nan, ValueError),
+                                          (0.0, ValueError), (-1.0, ValueError),
+                                          (1e-310, FloatingPointError)])
+    def test_rejects_bad_radius(self, r, error):
+        # the radius is refused before [a, b] is compared with it
+        with pytest.raises(error, match="interval radius"):
+            harmonic_measure_interval(r, -1.0, 1.0)
 
 
 class TestBalayage:
