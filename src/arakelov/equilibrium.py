@@ -6,17 +6,18 @@ whose chordal energy has a closed form; the quadrature here recomputes
 masses, potentials and energies numerically so the closed forms can be
 validated rather than assumed.
 
-Coordinate conventions: unbounded supports are compactified with x = tan(theta)
-(real line) and the radial substitution u = 1/(1+rho^2) (sphere).  The
-interval [-r, r] is the arc |theta| <= atan(r) of the real line, and in the
-chart x = r sin(t) / sqrt(1 + r^2 cos^2 t), t in [-pi/2, pi/2], where
-sin(theta) = k sin(t) with k = r/sqrt(1 + r^2), its equilibrium measure is
-dt/pi, as the real line's is dtheta/pi: every interval integral runs there.
-On the sphere, Jensen's formula takes the mean over the angle exactly, so
-its potential is a radial integral in u.  Logarithmic kernel singularities
-and kinks are handled by splitting at the singular point and integrating
-each side with graded Gauss-Legendre panels.  On each target set the
-potentials at support points are rows of one batch, each split at its
+Coordinate conventions: the sphere is compactified radially by
+u = 1/(1+rho^2), and Jensen's formula takes the mean over the angle exactly,
+so its potential is a radial integral in u.  The real line and the intervals
+are arcs of the real projective line x = tan(theta): [-r, r] is the arc
+|theta| <= atan(r), described by (k, k') = (sin, cos) of atan(r), and the
+line is the arc r = inf, (k, k') = (1, 0).  In the chart t in [-pi/2, pi/2]
+with sin(theta) = k sin(t) and cos(theta) = hypot(k', k cos t) every arc's
+equilibrium measure is dt/pi (on the line the chart is theta = t), so one set
+of arc kernels serves the line and every interval.  Logarithmic kernel
+singularities and kinks are handled by splitting at the singular point and
+integrating each side with graded Gauss-Legendre panels.  On each target set
+the potentials at support points are rows of one batch, each split at its
 point's coordinate, and the energy's cross-check batches all nodes of an
 outer level.
 """
@@ -87,11 +88,17 @@ def analytic_energy(target: TargetSet) -> float:
     """Closed-form minimal chordal energy of the target set."""
     if isinstance(target, Sphere):
         return 0.5
+    return math.log(2.0) - math.log(_arc(target)[0])
+
+
+def _arc(target: TargetSet) -> tuple[float, float]:
+    """(k, k') = (sin, cos) of atan(r) for the arc |theta| <= atan(r) of the
+    real line x = tan(theta): [-r, r], or the whole line, the arc r = inf."""
     if isinstance(target, RealLine):
-        return math.log(2.0)
+        return 1.0, 0.0
     if isinstance(target, Interval):
-        r = target.r
-        return math.log(2.0) - math.log(r / math.hypot(r, 1.0))
+        h = math.hypot(target.r, 1.0)
+        return target.r / h, 1.0 / h
     raise TypeError(f"not a target set: {target!r}")
 
 
@@ -123,7 +130,8 @@ def density(target: TargetSet, x) -> float:
         r = target.r
         if not abs(xr) < r:
             raise ValueError(f"point {xr} outside the open interval (-{r}, {r})")
-        value = float(_interval_density(r, xr, (r - abs(xr)) / r, 1.0 + abs(xr) / r))
+        value = float(_arc_density(math.hypot(1.0, r) / np.pi / r, xr,
+                                   (r - abs(xr)) / r, 1.0 + abs(xr) / r))
         if not math.isfinite(value):  # beyond double range, as from r = 1e-309 down
             raise FloatingPointError(f"interval density at r = {r:g} is not finite")
         return value
@@ -137,22 +145,28 @@ def _require_real(x) -> float:
     return z.real
 
 
-def _interval_density(r: float, x, near, far):
-    """sqrt(1 + r^2) / (pi (1 + x^2) sqrt(r^2 near far)), near = 1 - |x|/r and far =
-    1 + |x|/r, divided in an order that overflows only where the value does."""
+def _arc_density(scale, x, near, far):
+    """scale / ((1 + x^2) sqrt(near far)), near = 1 - |x|/r and far = 1 + |x|/r,
+    divided in an order that overflows only where the value does: at
+    scale = 1/(pi k) the density of the arc."""
     hx = np.hypot(1.0, x)
-    return math.hypot(1.0, r) / np.pi / r / np.sqrt(near) / np.sqrt(far) / hx / hx
+    return scale / np.sqrt(near) / np.sqrt(far) / hx / hx
 
 
-def _interval_x(r: float, t):
-    """The point x(t) = r sin(t) / sqrt(1 + r^2 cos^2 t) of [-r, r]."""
-    return r * np.sin(t) / np.hypot(1.0, r * np.cos(t))
+def _arc_x(k: float, kp: float, t):
+    """The point x(t) = tan(theta) = k sin(t) / hypot(k', k cos t) of the arc."""
+    return k * np.sin(t) / np.hypot(kp, k * np.cos(t))
 
 
-def _interval_t(r: float, x: float) -> float:
-    """The chart angle of x in [-r, r]: sin t = x sqrt(1 + r^2) / (r sqrt(1 + x^2))."""
-    s = x / r * (math.hypot(1.0, r) / math.hypot(1.0, x))
-    return math.asin(max(-1.0, min(1.0, s)))
+def _arc_t(r: float, x: float) -> float:
+    """The chart angle of x in [-r, r]: tan t = x sqrt(1 + r^2) / sqrt(r^2 - x^2),
+    formed from r itself, so that r - |x| is exact near the ends; atan(x) on
+    the real line, r = inf."""
+    if r == math.inf:
+        return math.atan(x)
+    a = abs(x)
+    return math.atan2(x * (math.hypot(1.0, r) / r),
+                      math.sqrt((r - a) / r) * math.sqrt(1.0 + a / r))
 
 
 # ---------------------------------------------------------------------------
@@ -168,24 +182,18 @@ def mass(target: TargetSet, tol: float = 1e-9) -> QuadratureResult:
             dens = 1.0 / (np.pi * (1.0 + rho2) ** 2)
             return 2.0 * np.pi * dens * (1.0 + rho2) ** 2 / 2.0
         return adaptive_gauss_legendre(radial, 0.0, 1.0, tol)
-    if isinstance(target, RealLine):
-        def f(theta):
-            x = np.tan(theta)
-            return (1.0 / (np.pi * (1.0 + x * x))) / np.cos(theta) ** 2
-        return adaptive_gauss_legendre(f, -np.pi / 2, np.pi / 2, tol)
-    if isinstance(target, Interval):
-        require_normal_radius(target)
-        r, big_h = target.r, math.hypot(1.0, target.r)
+    require_normal_radius(target)
+    k, kp = _arc(target)
 
-        def f(t):
-            c, s = r * np.cos(t), np.abs(np.sin(t))
-            h = np.hypot(1.0, c)
-            # 1 - |x|/r = (h - s)/h = (1 + r^2) cos^2 t / (h (h + s)), free of cancellation
-            near = (big_h * np.cos(t) / h) * (big_h * np.cos(t) / (h + s))
-            dxdt = c / h * (big_h / h) ** 2  # r(1+r^2)cos t/(1+r^2 cos^2 t)^(3/2)
-            return _interval_density(r, _interval_x(r, t), near, (h + s) / h) * dxdt
-        return adaptive_gauss_legendre(f, -np.pi / 2, np.pi / 2, tol)
-    raise TypeError(f"not a target set: {target!r}")
+    def f(t):
+        # the density times dx/dt = k cos t / g^3, g = cos(theta), with k
+        # cancelled first: near +-r the density alone overflows at the smallest
+        # r.  g^2 - s^2 = cos^2 t makes 1 - |x|/r = (g - s)/g cancellation-free
+        c, s = np.cos(t), kp * np.abs(np.sin(t))
+        g = np.hypot(kp, k * c)
+        near, far = c / g * (c / (g + s)), (g + s) / g
+        return _arc_density(c / g / g / g / np.pi, _arc_x(k, kp, t), near, far)
+    return adaptive_gauss_legendre(f, -np.pi / 2, np.pi / 2, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +209,8 @@ def potential(target: TargetSet, x, tol: float = 1e-8) -> QuadratureResult:
         z = complex(x)
         a = math.hypot(z.real, z.imag)  # inf where abs(z) would raise
         return _sphere_potentials(np.array([1.0 / (1.0 + a * a)]), tol)[0]
-    if isinstance(target, RealLine):
-        phi = math.pi / 2 if _is_infinite(x) else math.atan(_require_real(x))
-        return _line_potentials(np.array([phi]), tol)[0]
-    if isinstance(target, Interval):
-        require_normal_radius(target)
-        return _interval_potential(target.r, x, tol)
-    raise TypeError(f"not a target set: {target!r}")
+    require_normal_radius(target)
+    return _arc_potential(target, x, tol)
 
 
 def _half_log1p_sq(a: float) -> float:
@@ -233,59 +236,56 @@ def _sphere_potentials(c: np.ndarray, tol: float):
     return split_rows(f, 0.0, 1.0, c[:, None], tol)
 
 
-def _line_potentials(phi: np.ndarray, tol: float):
-    """Real-line potentials at the points tan(phi), one row each, split at phi."""
-    def f(rows, theta):
-        return -np.log(np.abs(np.sin(phi[rows, None] - theta))) / np.pi
-    return split_rows(f, -np.pi / 2, np.pi / 2, phi[:, None], tol)
+def _arc_support_potentials(k: float, kp: float, t_x: np.ndarray, tol: float):
+    """Potentials of the arc (k, k') at the points of chart angles t_x, one
+    row each, split at t_x.
 
-
-def _interval_support_potentials(r: float, t_x: np.ndarray, tol: float):
-    """Potentials of [-r, r] at the points of chart angles t_x, one row each,
-    split at t_x.
-
-    In the t chart the measure is dt/pi, and with H = sqrt(1 + r^2):
-    sin(theta) = k sin t, k = r/H, and cos(theta) = sqrt(1 + r^2 cos^2 t) / H.
+    The chordal distance of tan(theta_x) and tan(theta) is
+    |sin(theta_x - theta)| = k |s_x g - g_x s| with s = sin t and
+    g = cos(theta) = hypot(k', k cos t).  Where the two terms share a sign it
+    is (sin^2 theta_x - sin^2 theta) / (sin theta_x cos theta + cos theta_x sin theta)
+    = k sin(t_x - t) sin(t_x + t) / (s_x g + g_x s), free of cancellation with
+    sin(t_x + t) summed from terms of one sign; on the line, where g = cos t,
+    the quotient is exactly 1 and the kernel is -log|sin(t_x - t)| / pi.
     """
-    big_h = math.hypot(1.0, r)
-    k = r / big_h
-    s_x, h_x = np.sin(t_x)[:, None], np.hypot(1.0, r * np.cos(t_x))[:, None]
+    s_x, c_x = np.sin(t_x)[:, None], np.cos(t_x)[:, None]
+    g_x, log_k = np.hypot(kp, k * c_x), math.log(k)
 
     def f(rows, t):
-        tx, sx, hx = t_x[rows, None], s_x[rows], h_x[rows]
-        s_t, h_t = np.sin(t), np.hypot(1.0, r * np.cos(t))
-        # sin(theta_x - theta): where the two terms share a sign, as
-        # (sin^2 theta_x - sin^2 theta) / (sin theta_x cos theta + cos theta_x sin theta)
+        sx, cx = s_x[rows], c_x[rows]
+        s_t, c_t = np.sin(t), np.cos(t)
+        a, b = sx * np.hypot(kp, k * c_t), g_x[rows] * s_t  # sin(theta_x - theta) = k (a - b)
         same = s_t * sx > 0.0
-        near = (r * np.sin(tx - t) * np.sin(tx + t)
-                / np.where(same, sx * h_t + s_t * hx, 1.0))
-        far = k / big_h * (sx * h_t - hx * s_t)
-        return -np.log(np.abs(np.where(same, near, far))) / np.pi
+        near = np.sin(t_x[rows, None] - t) * ((sx * c_t + cx * s_t) / np.where(same, a + b, 1.0))
+        # log k apart: k |sin(t_x - t)| underflows for the narrowest intervals
+        return -(np.log(np.abs(np.where(same, near, a - b))) + log_k) / np.pi
     return split_rows(f, -np.pi / 2, np.pi / 2, t_x[:, None], tol)
 
 
-def _interval_potential(r: float, x, tol: float) -> QuadratureResult:
-    # the chordal distance from tan(theta) to z is
-    # |z cos(theta) - sin(theta)| / sqrt(1 + |z|^2), in the chart of
-    # _interval_support_potentials
-    big_h = math.hypot(1.0, r)
-    k = r / big_h
+def _arc_potential(target: TargetSet, x, tol: float) -> QuadratureResult:
+    """The potential of an arc at x: a support row on the arc, else the
+    chordal distance |z cos(theta) - sin(theta)| / sqrt(1 + |z|^2) from
+    tan(theta) to z integrated in the chart; at a modulus past the double
+    range, the potential at infinity."""
+    k, kp = _arc(target)
+    r = target.r if isinstance(target, Interval) else math.inf
 
     def cos_theta(t):
-        return np.hypot(1.0, r * np.cos(t)) / big_h
+        return np.hypot(kp, k * np.cos(t))
 
-    if _is_infinite(x):
+    z = complex(x)
+    a = math.hypot(z.real, z.imag)  # inf where abs(z) would raise
+    if a == math.inf:
         return split_singular(lambda t: -np.log(cos_theta(t)) / np.pi,
                               -np.pi / 2, np.pi / 2, (), tol)
-    z = complex(x)
     if z.imag == 0.0 and abs(z.real) <= r:
-        return _interval_support_potentials(r, np.array([_interval_t(r, z.real)]), tol)[0]
+        return _arc_support_potentials(k, kp, np.array([_arc_t(r, z.real)]), tol)[0]
 
     def g(t):
         return (-np.log(np.abs(z * cos_theta(t) - k * np.sin(t)))
-                + _half_log1p_sq(abs(z))) / np.pi
+                + _half_log1p_sq(a)) / np.pi
     # near the cut the kernel is nearly singular at Re z: split there
-    cuts = _interval_t(r, z.real) if abs(z.real) <= r else ()
+    cuts = _arc_t(r, z.real) if abs(z.real) <= r else ()
     return split_singular(g, -np.pi / 2, np.pi / 2, cuts, tol)
 
 
@@ -314,34 +314,24 @@ def energy(target: TargetSet, tol: float = 1e-8,
 
 
 def _energy_single(target: TargetSet, tol: float) -> QuadratureResult:
-    return potential(target, 0.0 if isinstance(target, Interval) else INF, tol)
-
-
-def _support_potentials(target: TargetSet, c: np.ndarray,
-                        tol: float) -> list[QuadratureResult]:
-    """Potentials at the support points of coordinates ``c``, one batch of
-    rows: u = 1/(1 + |x|^2) on the sphere, the angle theta of x = tan(theta)
-    on the real line and the chart angle t on an interval."""
-    if isinstance(target, Sphere):
-        return _sphere_potentials(c, tol)
-    if isinstance(target, RealLine):
-        return _line_potentials(c, tol)
-    return _interval_support_potentials(target.r, c, tol)
+    return potential(target, INF if isinstance(target, Sphere) else 0.0, tol)
 
 
 def _energy_double(target: TargetSet, tol: float,
                    cross_tol: float) -> QuadratureResult:
     """Outer Gauss-Legendre rule, n = 16 to 128, on the potential against the
-    measure: in u on the sphere, in the angle of measure dt/pi on the real line
-    (x = tan t) and on an interval (the arc chart).  The potentials at all
-    nodes of an outer level are one batch; ``evaluations`` counts the inner
-    ones; refuses when the last n is not converged."""
+    measure: in u on the sphere and in the chart angle t, of measure dt/pi,
+    on an arc.  The potentials at all nodes of an outer level are one batch;
+    ``evaluations`` counts the inner ones; refuses when the last n is not
+    converged."""
     evals = 0
     sphere = isinstance(target, Sphere)
+    arc = None if sphere else _arc(target)
 
     def f(c):
         nonlocal evals
-        inner = _support_potentials(target, c, tol / 4)
+        inner = (_sphere_potentials(c, tol / 4) if sphere
+                 else _arc_support_potentials(*arc, c, tol / 4))
         evals += sum(p.evaluations for p in inner)
         values = np.array([p.value for p in inner])
         return values if sphere else values / np.pi
@@ -395,12 +385,12 @@ def harmonic_measure_interval(r: float, a: float, b: float) -> QuadratureResult:
     require_normal_radius(Interval(r))
     if not (-r <= a < b <= r):
         raise ValueError(f"need -r <= a < b <= r, got a={a}, b={b}, r={r}")
-    return QuadratureResult((_interval_t(r, b) - _interval_t(r, a)) / math.pi, 0.0, 0)
+    return QuadratureResult((_arc_t(r, b) - _arc_t(r, a)) / math.pi, 0.0, 0)
 
 
 def energy_via_balayage(r: float, tol: float = 1e-8) -> QuadratureResult:
     """Interval energy as Green value at i plus the swept-out log moment."""
     require_normal_radius(Interval(r))
     g = green_interval(1j, r)
-    moment = _interval_potential(r, INF, tol)
+    moment = _arc_potential(Interval(r), INF, tol)
     return QuadratureResult(g + moment.value, moment.est_error, moment.evaluations)

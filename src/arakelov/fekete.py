@@ -448,18 +448,22 @@ def minimize(target: TargetSet, n: int, seed: int = 0, budget: int = 4000,
                               converged=converged, evaluations=evaluations)
 
 
-def gradient_relative_error(target: TargetSet, params, h: float = 1e-6) -> float:
+# the step of the central differences in gradient_relative_error
+_FD_STEP = 1e-6
+
+
+def gradient_relative_error(target: TargetSet, params) -> float:
     """Relative gap between the analytic gradient and central finite differences."""
     params = np.asarray(params, dtype=float)
     grad = _gradient(target, params)
     fd = np.empty_like(grad)
     for i in range(len(params)):
         bumped = params.copy()
-        bumped[i] += h
+        bumped[i] += _FD_STEP
         hi = _energy(target, bumped)
-        bumped[i] -= 2 * h
+        bumped[i] -= 2 * _FD_STEP
         lo = _energy(target, bumped)
-        fd[i] = (hi - lo) / (2 * h)
+        fd[i] = (hi - lo) / (2 * _FD_STEP)
     scale = float(np.linalg.norm(grad))
     return float(np.linalg.norm(fd - grad)) / max(scale, 1e-12)
 

@@ -16,7 +16,8 @@ would stop at alone, and a converged row is no longer evaluated.
 ``split_singular`` is a batch of one, and every singular integral of the
 package is a row of ``split_rows``.  Every panel of a level has the same
 number of nodes: a node whose distance to its endpoint would be absorbed by
-the endpoint itself keeps weight 0 and is not counted as an evaluation, so
+the endpoint itself keeps weight 0, is not counted as an evaluation and is
+evaluated in the middle of its row's widest panel, away from every cut, so
 the rows of a batch fit one array.
 """
 from __future__ import annotations
@@ -168,9 +169,8 @@ def _graded_nodes(a, b, k: int):
     axis, of the same length for every panel.  The weights absorb the
     half-width, so sum(w * f(x)) over that axis approximates the integral.
     A node whose distance to its endpoint would be absorbed by the endpoint
-    itself is dropped: it gets weight 0, and it sits at the smallest distance
-    that is not absorbed, on the panel's side of the endpoint (outside an
-    empty panel), where an endpoint-singular integrand is finite.
+    itself is dropped: it gets weight 0 and may sit on its end, so the
+    caller moves it before evaluating an integrand singular there.
     """
     left, sign, off, w = _graded_reference(12 * 2 ** k)
     a = np.asarray(a, dtype=float)[..., None]
@@ -178,9 +178,8 @@ def _graded_nodes(a, b, k: int):
     half = 0.5 * (b - a)
     off = half * off
     ends = np.where(left, a, b)
-    floor = _floor(ends)
-    kept = off >= floor
-    return ends + sign * np.maximum(off, floor), np.where(kept, half * w, 0.0), kept
+    kept = off >= _floor(ends)
+    return ends + sign * off, np.where(kept, half * w, 0.0), kept
 
 
 def split_rows(f, a: float, b: float, cuts, tol: float,
@@ -200,16 +199,16 @@ def split_rows(f, a: float, b: float, cuts, tol: float,
         raise ValueError("need a <= b and cut points ascending within [a, b]")
     if a == b:
         return [QuadratureResult(0.0, 0.0, 0)] * n
-    # the dropped nodes of an empty panel at a or b would sit outside [a, b]
-    inside = (a + _floor(a), b - _floor(b))
-    clip = cuts.size > 0 and ((cuts[:, 0] == a).any() or (cuts[:, -1] == b).any())
+    # a dropped node sits in the middle of its row's widest panel, where the
+    # integrand is finite: at its own end, or past it, it may meet a cut
+    widest = np.argmax(hi - lo, axis=1)
+    middle = (0.5 * (lo + hi))[np.arange(n), widest][:, None, None]
 
     def level(k, rows):
         bounds = (lo, hi) if rows.size == n else (lo[rows], hi[rows])
         x, w, kept = _graded_nodes(*bounds, k)
-        x, w = x.reshape(rows.size, -1), w.reshape(rows.size, -1)
-        if clip:
-            x = np.minimum(np.maximum(x, inside[0]), inside[1])
+        x = np.where(kept, x, middle[rows]).reshape(rows.size, -1)
+        w = w.reshape(rows.size, -1)
         terms = w * f(rows, x)
         return (np.add.reduce(terms, axis=1).tolist(),
                 np.add.reduce(kept, axis=(1, 2)).tolist(),

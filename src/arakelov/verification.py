@@ -94,8 +94,11 @@ def check_lower_bound_corpus(seed: int = 0, count: int = 10000) -> CheckResult:
         f"{violations} below bound, {near_not_cyclo} non-cyclotomic near equality")
 
 
-def check_decomposition_identity(seed: int = 0, count: int = 10000,
-                                 itemized_sample: int = 500) -> CheckResult:
+# corpus inputs of degree >= 2 that also get a full itemized report
+_ITEMIZED_SAMPLE = 500
+
+
+def check_decomposition_identity(seed: int = 0, count: int = 10000) -> CheckResult:
     corpus, reports = _corpus_reports(seed, count)
     worst = 0.0
     checked = 0
@@ -111,7 +114,7 @@ def check_decomposition_identity(seed: int = 0, count: int = 10000,
         worst_itemized = max(worst_itemized,
                              height_report(f).crosscheck_residual)
         sampled += 1
-        if sampled >= itemized_sample:
+        if sampled >= _ITEMIZED_SAMPLE:
             break
     passed = worst <= 1e-9 and worst_itemized <= 1e-9
     return CheckResult(

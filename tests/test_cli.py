@@ -240,6 +240,17 @@ class TestInputFaults:
         assert code in (0, 3)
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", [["--interval", "2"], ["--real-line"]])
+    def test_point_past_the_double_range(self, capsys, target):
+        # |z| overflows a double; the potential there is the one at infinity
+        code, out = run_cli(capsys, "measure", *target, "--format", "json",
+                            "--potential-at", "1.5e308+1.5e308j")
+        assert code == 0
+        far = json.loads(out)
+        assert run_cli(capsys, "measure", *target, "--format", "json",
+                       "--potential-at", "inf") == (0, out)
+        assert math.isfinite(far["value"])
+
     def test_roots_near_zero_certify(self, capsys):
         code = main(["height", "--poly",
                      "10000000000000000000000000000000000000000x^2 - 1",

@@ -180,6 +180,39 @@ class TestPotential:
         assert potential(Interval(r), 1e200).value == pytest.approx(
             potential(Interval(r), INF).value, abs=1e-12)
 
+    @pytest.mark.parametrize("z", [1j, 0.3 + 0.2j, -2 + 1e-9j])
+    def test_real_line_off_the_line(self, z):
+        # the line's measure is the harmonic measure at i, so off the line its
+        # potential is log 2 + (1/2) log(1 + |z|^2) - log|z + i sgn(Im z)|
+        w = mpmath.mpc(z)
+        exact = (mpmath.log(2) + mpmath.log(1 + abs(w) ** 2) / 2
+                 - mpmath.log(abs(w + 1j * mpmath.sign(w.imag))))
+        result = potential(RealLine(), z)
+        assert abs(result.value - float(exact)) <= result.est_error
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("target, x", [
+        (RealLine(), 717617525570084.4), (RealLine(), -717617525570084.4),
+        (Interval(1e12), 0.999999e12), (Interval(1e9), (1 - 1e-12) * 1e9)])
+    def test_chart_angle_next_to_the_end(self, target, x):
+        # the chart angle lies 6 ulps inside +-pi/2, as far from the end as a
+        # node too close to it would sit
+        result = potential(target, x)
+        assert abs(result.value - analytic_energy(target)) <= result.est_error
+
+    @pytest.mark.parametrize("target", [Interval(2.0), RealLine()], ids=["interval", "line"])
+    def test_past_the_double_range(self, target):
+        # |z| overflows; the potential there is the potential at infinity
+        assert potential(target, complex(1.5e308, 1.5e308)) == potential(target, INF)
+
+    def test_widest_interval_is_the_line(self):
+        # [-1e300, 1e300] is the arc (k, k') = (1, 1e-300): the line to double precision
+        wide, line = Interval(1e300), RealLine()
+        pairs = [(energy(wide), energy(line)), (mass(wide), mass(line))]
+        pairs += [(potential(wide, x), potential(line, x)) for x in (0.0, 0.3, -1.7, INF)]
+        for a, b in pairs:
+            assert abs(a.value - b.value) <= max(a.est_error, b.est_error)
+
     @pytest.mark.parametrize("r", [64.0, 100.0, 1e6])
     @pytest.mark.parametrize("psi", [-1.5, -1.45, 1.45, 1.5])
     def test_wide_interval_near_the_ends(self, r, psi):
@@ -308,9 +341,7 @@ def _energy_double_per_node(target, tol, cross_tol):
                                         0.0, 1.0, cross_tol / 4, max_doublings=3)
     else:
         def f(t):
-            xs = (equilibrium._interval_x(target.r, t) if isinstance(target, Interval)
-                  else np.tan(t))
-            return potentials(xs) / np.pi
+            return potentials(equilibrium._arc_x(*equilibrium._arc(target), t)) / np.pi
         outer = adaptive_gauss_legendre(f, -np.pi / 2, np.pi / 2, cross_tol / 4,
                                         max_doublings=3)
     return QuadratureResult(outer.value, outer.est_error, evals)
@@ -339,25 +370,29 @@ class TestBatchedPotentials:
         assert potential(Sphere(), INF, 1e-9) == rows[0]
 
     def test_real_line_rows_are_batches_of_one(self):
+        # the line is the arc (k, k') = (1, 0), its chart angle theta = atan(x)
+        assert equilibrium._arc(RealLine()) == (1.0, 0.0)
         phi = self._angles(np.random.default_rng(11))
-        rows = equilibrium._line_potentials(phi, 1e-9)
+        rows = equilibrium._arc_support_potentials(1.0, 0.0, phi, 1e-9)
         for k, row in enumerate(rows):
-            assert row == equilibrium._line_potentials(phi[k:k + 1], 1e-9)[0]
+            assert row == equilibrium._arc_support_potentials(1.0, 0.0, phi[k:k + 1], 1e-9)[0]
+            assert abs(row.value - math.log(2)) <= row.est_error
         x = math.tan(phi[-1])
-        assert potential(RealLine(), x, 1e-9) == equilibrium._line_potentials(
-            np.array([math.atan(x)]), 1e-9)[0]
+        assert potential(RealLine(), x, 1e-9) == equilibrium._arc_support_potentials(
+            1.0, 0.0, np.array([math.atan(x)]), 1e-9)[0]
 
     @pytest.mark.parametrize("r", [1e-3, 1.0, 1e6])
     def test_interval_rows_are_batches_of_one(self, r):
+        k, kp = equilibrium._arc(Interval(r))
         t = self._angles(np.random.default_rng(12))
-        rows = equilibrium._interval_support_potentials(r, t, 1e-9)
-        for k, row in enumerate(rows):
-            assert row == equilibrium._interval_support_potentials(r, t[k:k + 1], 1e-9)[0]
+        rows = equilibrium._arc_support_potentials(k, kp, t, 1e-9)
+        for i, row in enumerate(rows):
+            assert row == equilibrium._arc_support_potentials(k, kp, t[i:i + 1], 1e-9)[0]
             assert row.est_error <= 1e-9
             assert abs(row.value - analytic_energy(Interval(r))) <= 1e-8
         x = r * 0.3
-        assert potential(Interval(r), x, 1e-9) == equilibrium._interval_support_potentials(
-            r, np.array([equilibrium._interval_t(r, x)]), 1e-9)[0]
+        assert potential(Interval(r), x, 1e-9) == equilibrium._arc_support_potentials(
+            k, kp, np.array([equilibrium._arc_t(r, x)]), 1e-9)[0]
 
     @pytest.mark.parametrize("target", [Sphere(), RealLine(), Interval(1e-3),
                                         Interval(1.0), Interval(1e6)],
@@ -383,9 +418,17 @@ class TestSubnormalRadius:
         with pytest.raises(FloatingPointError, match="subnormal"):
             compute(Interval(1e-310))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_smallest_normal_radius_is_accepted(self):
         r = 2.2250738585072014e-308
         assert density(Interval(r), 0.0) == pytest.approx(1 / (math.pi * r), rel=1e-14)
+        # k |sin(theta_x - theta)| and the density near +-r leave the double
+        # range here; the mass, energy and potentials do not
+        result = mass(Interval(r))
+        assert abs(result.value - 1.0) <= result.est_error
+        for result in (energy(Interval(r)), potential(Interval(r), 0.999 * r),
+                       potential(Interval(r), r)):
+            assert abs(result.value - analytic_energy(Interval(r))) <= result.est_error
 
 
 @pytest.mark.parametrize("compute", [
@@ -459,6 +502,18 @@ class TestHarmonicMeasure:
                                 -1.0, 1.0, (), 1e-10).value
         assert 0.0 < first < 1.0
         assert first == pytest.approx(second, abs=1e-7)
+
+    @pytest.mark.parametrize("r", [0.5, 2.0, 100.0, 1e6, 1e9, 1e12])
+    def test_chart_angle_against_mpmath(self, r):
+        # tan t = x sqrt(1 + r^2) / sqrt(r^2 - x^2), exact near the ends too:
+        # [0.9r, r] at r = 1e9 is 1.54e-10, which an asin chart rounds to 0
+        def t(x):
+            x, rr = mpmath.mpf(x), mpmath.mpf(r)
+            return mpmath.atan2(x * mpmath.sqrt(1 + rr * rr), mpmath.sqrt(rr * rr - x * x))
+        with mpmath.workdps(60):
+            for a, b in [(-r / 3, r / 2), (-r, 0.999 * r), (0.9 * r, r), (-r, r)]:
+                exact = (t(b) - t(a)) / mpmath.pi
+                assert abs(harmonic_measure_interval(r, a, b).value - exact) <= 4e-16
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):

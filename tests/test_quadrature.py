@@ -114,6 +114,20 @@ class TestRows:
                                   0.0, 1.0, cuts[k], 1e-11)
             assert rows[k] == lone
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cut_one_floor_from_the_end(self):
+        # the panel [c, 1] is exactly as wide as the distance 4 eps at which a
+        # node too close to 1 would sit; that node must not land on the cut c
+        c = 1.0 - 4 * np.finfo(float).eps
+
+        def f(rows, x):
+            return np.log(np.abs(x - np.array([1.0, c])[rows, None]))
+        rows = split_rows(f, 0.0, 1.0, [[1.0], [c]], 1e-11)
+        alone = split_singular(lambda x: np.log(np.abs(x - c)), 0.0, 1.0, c, 1e-11)
+        assert rows[1] == alone
+        for row, cut in zip(rows, (1.0, c)):
+            assert abs(row.value - self._log_integral(cut)) <= row.est_error
+
     def test_converged_rows_are_not_evaluated(self):
         seen = []
 
