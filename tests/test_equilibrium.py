@@ -110,6 +110,31 @@ class TestPotential:
         result = potential(Interval(2.0), 0.3, tol=1e-8)
         assert result.value == pytest.approx(0.5 * math.log(5), abs=1e-4)
 
+    def test_support_kernel_is_the_chordal_mean_over_plus_minus_t(self):
+        # sin(theta_x - theta) sin(theta_x + theta) = k^2 sin(t_x - t) sin(t_x + t),
+        # with sin(theta) = k sin(t): the support rows take -log|k sin(t_x - t)|
+        rng = np.random.default_rng(8)
+        for r in (1e-3, 0.5, 2.0, 1e6):
+            k = equilibrium._arc(Interval(r))[0]
+            t_x, t = np.pi * (rng.random((2, 50)) - 0.5)
+            th_x, th = np.arcsin(k * np.sin(t_x)), np.arcsin(k * np.sin(t))
+            chordal = np.log(np.abs(np.sin(th_x - th) * np.sin(th_x + th)))
+            arc = np.log(np.abs(k * np.sin(t_x - t) * k * np.sin(t_x + t)))
+            assert np.max(np.abs(chordal - arc)) <= 1e-12
+
+    @pytest.mark.parametrize("r, x", [(0.5, 0.2), (2.0, -1.9), (1e6, 0.999e6)])
+    def test_support_row_against_the_chordal_kernel(self, r, x):
+        # mpmath integrates -log|sin(theta_x - theta)| itself, split at t_x
+        got = potential(Interval(r), x, 1e-10)
+        with mpmath.workdps(30):
+            rr = mpmath.mpf(r)
+            k, th_x = rr / mpmath.sqrt(1 + rr * rr), mpmath.atan(x)
+            t_x = mpmath.asin(mpmath.sin(th_x) / k)
+            exact = mpmath.quad(lambda t: -mpmath.log(abs(mpmath.sin(
+                th_x - mpmath.asin(k * mpmath.sin(t))))) / mpmath.pi,
+                [-mpmath.pi / 2, t_x, mpmath.pi / 2])
+        assert abs(got.value - float(exact)) <= got.est_error
+
     def test_constancy_on_supports(self):
         rng = np.random.default_rng(3)
         sphere_values = [potential(Sphere(), complex(z), tol=1e-7).value
@@ -341,7 +366,7 @@ def _energy_double_per_node(target, tol, cross_tol):
                                         0.0, 1.0, cross_tol / 4, max_doublings=3)
     else:
         def f(t):
-            return potentials(equilibrium._arc_x(*equilibrium._arc(target), t)) / np.pi
+            return potentials(equilibrium._arc_x(*equilibrium._arc(target)[:2], t)) / np.pi
         outer = adaptive_gauss_legendre(f, -np.pi / 2, np.pi / 2, cross_tol / 4,
                                         max_doublings=3)
     return QuadratureResult(outer.value, outer.est_error, evals)
@@ -370,29 +395,31 @@ class TestBatchedPotentials:
         assert potential(Sphere(), INF, 1e-9) == rows[0]
 
     def test_real_line_rows_are_batches_of_one(self):
-        # the line is the arc (k, k') = (1, 0), its chart angle theta = atan(x)
-        assert equilibrium._arc(RealLine()) == (1.0, 0.0)
+        # the line is the arc (k, k', r) = (1, 0, inf), its chart angle theta = atan(x)
+        assert equilibrium._arc(RealLine()) == (1.0, 0.0, math.inf)
         phi = self._angles(np.random.default_rng(11))
-        rows = equilibrium._arc_support_potentials(1.0, 0.0, phi, 1e-9)
+        rows = equilibrium._arc_support_potentials(1.0, phi, 1e-9)
         for k, row in enumerate(rows):
-            assert row == equilibrium._arc_support_potentials(1.0, 0.0, phi[k:k + 1], 1e-9)[0]
+            assert row == equilibrium._arc_support_potentials(1.0, phi[k:k + 1], 1e-9)[0]
             assert abs(row.value - math.log(2)) <= row.est_error
         x = math.tan(phi[-1])
+        assert equilibrium._arc_t(math.inf, x) == math.atan(x)
         assert potential(RealLine(), x, 1e-9) == equilibrium._arc_support_potentials(
-            1.0, 0.0, np.array([math.atan(x)]), 1e-9)[0]
+            1.0, np.array([math.atan(x)]), 1e-9)[0]
 
     @pytest.mark.parametrize("r", [1e-3, 1.0, 1e6])
     def test_interval_rows_are_batches_of_one(self, r):
-        k, kp = equilibrium._arc(Interval(r))
+        k, _, r_arc = equilibrium._arc(Interval(r))
+        assert r_arc == r
         t = self._angles(np.random.default_rng(12))
-        rows = equilibrium._arc_support_potentials(k, kp, t, 1e-9)
+        rows = equilibrium._arc_support_potentials(k, t, 1e-9)
         for i, row in enumerate(rows):
-            assert row == equilibrium._arc_support_potentials(k, kp, t[i:i + 1], 1e-9)[0]
+            assert row == equilibrium._arc_support_potentials(k, t[i:i + 1], 1e-9)[0]
             assert row.est_error <= 1e-9
             assert abs(row.value - analytic_energy(Interval(r))) <= 1e-8
         x = r * 0.3
         assert potential(Interval(r), x, 1e-9) == equilibrium._arc_support_potentials(
-            k, kp, np.array([equilibrium._arc_t(r, x)]), 1e-9)[0]
+            k, np.array([equilibrium._arc_t(r_arc, x)]), 1e-9)[0]
 
     @pytest.mark.parametrize("target", [Sphere(), RealLine(), Interval(1e-3),
                                         Interval(1.0), Interval(1e6)],
@@ -513,7 +540,9 @@ class TestHarmonicMeasure:
         with mpmath.workdps(60):
             for a, b in [(-r / 3, r / 2), (-r, 0.999 * r), (0.9 * r, r), (-r, r)]:
                 exact = (t(b) - t(a)) / mpmath.pi
-                assert abs(harmonic_measure_interval(r, a, b).value - exact) <= 4e-16
+                got = harmonic_measure_interval(r, a, b)
+                assert abs(got.value - exact) <= 4e-16
+                assert abs(got.value - exact) <= got.est_error
 
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
