@@ -6,7 +6,11 @@ unit vectors u of R^3, held as 3N numbers (the x, y and z rows), where the
 chordal distance is |u - v|/2; tan angles theta on the real projective line,
 where it is |sin(theta - phi)|; and on an interval [-r, r], the arc
 theta = atan(r)*sin(t) of that line, angles t mapped onto the real-line
-kernels.  The sphere energy normalises its points itself, so its gradient,
+kernels.  An interval's gradient and Hessian run the line kernels on its
+pair sines divided by atan(r), then the chain rule through sin t: each term
+is (atan(r) cos t_i) / sin(theta_i - theta_j) up to a cosine, finite at
+every normal radius, where csc(theta_i - theta_j) overflows from r = 1e-154
+or so.  The sphere energy normalises its points itself, so its gradient,
 the Euclidean pair gradient projected onto the tangent planes, has no pole
 singularity and is exact at any nonzero vectors.  Sphere results are
 reported as azimuths and polar angles.
@@ -23,7 +27,12 @@ tenfold (Riemannian Newton: Absil, Mahony and Sepulchre, Optimization
 Algorithms on Matrix Manifolds, 2008).  Rotations leave the real-line and
 sphere energies unchanged, so their Hessians are singular along them: a
 rank-one 11^T term on the line and the outer products of the three rotation
-generators on the sphere lift that null space before the solve.  Above
+generators on the sphere lift that null space before the solve.  A sphere
+trial builds its tangent basis once, in closed form: e1 = e_k x u / |e_k x u|
+for the axis e_k of u's smallest component is a signed permutation of u's
+rows (a 3 x 3 table), and e2 = u x e1.  Its 2N x 2N Hessian is one
+(2, 2, N, N) array of stacked products, one (e_a, e_b) block each, turned
+into the matrix by one transpose and reshape.  Above
 ``_NEWTON_MAX_DIM`` Newton coordinates the BB steps run alone, and
 ``minimize`` refuses more than ``MAX_POINTS`` points before any array is
 allocated.  Each trial point is retracted onto its chart before its energy
@@ -96,6 +105,15 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+@functools.lru_cache(maxsize=64)
+def _flat_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices i*n + j and j*n + i of the pairs and their mirrors."""
+    i, j = _pairs(n)
+    upper, lower = i * n + j, j * n + i
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
+
+
 def _evaluate(target: TargetSet, params: np.ndarray) -> tuple[float, tuple]:
     """Discrete energy from the n(n-1)/2 pair distances (+inf at coincident
     points), and the pair data its gradient reuses at the same params."""
@@ -104,18 +122,18 @@ def _evaluate(target: TargetSet, params: np.ndarray) -> tuple[float, tuple]:
         i, j = _pairs(n)
         d = params[i] - params[j]
         s = np.sin(d)
-        return float(-2.0 * np.log(np.abs(s)).sum() * _pair_scale(n)) + 0.0, (d, s)
+        return float(-2.0 * np.add.reduce(np.log(np.abs(s))) * _pair_scale(n)) + 0.0, (d, s)
     if isinstance(target, Sphere):
         x = params.reshape(3, -1)
-        norms = np.sqrt((x * x).sum(axis=0))
+        norms = np.sqrt(np.add.reduce(x * x))
         u = x / norms
         n = len(norms)
         i, j = _pairs(n)
         diff = u.take(i, axis=1) - u.take(j, axis=1)
-        d2 = (diff * diff).sum(axis=0)
+        d2 = np.add.reduce(diff * diff)
         # -2 log(|u_i - u_j| / 2) = -log(|u_i - u_j|^2 / 4)
         # d2 / 4 rounds above 1 for pairs that are antipodal up to rounding
-        return (float(-np.log(np.minimum(d2 / 4.0, 1.0)).sum() * _pair_scale(n)) + 0.0,
+        return (float(-np.add.reduce(np.log(np.minimum(d2 / 4.0, 1.0))) * _pair_scale(n)) + 0.0,
                 (u, norms))
     if isinstance(target, Interval):
         return _evaluate(RealLine(), math.atan(target.r) * np.sin(params))
@@ -127,6 +145,16 @@ def _energy(target: TargetSet, params: np.ndarray) -> float:
     return _evaluate(target, params)[0]
 
 
+def _scatter(n: int, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """The n x n array holding ``upper`` at the pairs (i, j), i < j, of
+    ``_pairs``, ``lower`` at their mirrors (j, i), and zeros on the diagonal."""
+    at_upper, at_lower = _flat_pairs(n)
+    m = np.zeros(n * n)
+    m[at_upper] = upper
+    m[at_lower] = lower
+    return m.reshape(n, n)
+
+
 def _gradient(target: TargetSet, params: np.ndarray, pairs: tuple | None = None) -> np.ndarray:
     """Gradient of ``_energy`` with respect to ``params``, from the pair data
     ``_evaluate`` returned at ``params`` (computed here if not given)."""
@@ -134,98 +162,112 @@ def _gradient(target: TargetSet, params: np.ndarray, pairs: tuple | None = None)
         pairs = _evaluate(target, params)[1]
     if isinstance(target, RealLine):
         n = len(params)
-        i, j = _pairs(n)
         d, s = pairs
         c = np.cos(d) / s
         # cos is even and sin odd, so cot(p_j - p_i) is exactly -cot(p_i - p_j)
-        cot = np.zeros(n * n)
-        cot[i * n + j] = c
-        cot[j * n + i] = -c
-        return -2.0 * _pair_scale(n) * cot.reshape(n, n).sum(axis=1)
+        return -2.0 * _pair_scale(n) * np.add.reduce(_scatter(n, c, -c), axis=1)
     if isinstance(target, Sphere):
         u, norms = pairs
         n = len(norms)
         # diff[:, i, j] = u_i - u_j; the n x n form sums faster than a scatter of the pairs
         diff = u[:, :, None] - u[:, None, :]
-        d2 = (diff * diff).sum(axis=0)
-        np.fill_diagonal(d2, 1.0)
+        d2 = np.add.reduce(diff * diff)
+        d2.flat[::n + 1] = 1.0
         # dE/du_i = -2s * sum_j (u_i - u_j)/|u_i - u_j|^2
-        f = -2.0 * _pair_scale(n) * (diff / d2).sum(axis=2)
+        f = -2.0 * _pair_scale(n) * np.add.reduce(diff / d2, axis=2)
         # the energy sees only x/|x|: project onto the tangent plane at u, scale by 1/|x|.
         # The first projection leaves a radial rounding of about eps |f|, large
         # against a small tangent part; the second leaves about eps |g|.
-        f = f - (u * f).sum(axis=0) * u
-        f = f - (u * f).sum(axis=0) * u
+        f = f - np.add.reduce(u * f) * u
+        f = f - np.add.reduce(u * f) * u
         return (f / norms).ravel()
     if isinstance(target, Interval):
-        alpha = math.atan(target.r)
-        return _gradient(RealLine(), alpha * np.sin(params), pairs) * (alpha * np.cos(params))
+        # the line kernel on sines divided by alpha = atan(r) differentiates in sin t:
+        # dE/dt_i = -2s cos t_i sum_j cos(theta_i - theta_j) / (sin(theta_i - theta_j) / alpha)
+        d, s = pairs
+        return _gradient(RealLine(), params, (d, s / math.atan(target.r))) * np.cos(params)
     raise TypeError(f"not a target set: {target!r}")
 
 
-def _hessian(target: TargetSet, params: np.ndarray, pairs: tuple | None = None) -> np.ndarray:
+def _hessian(target: TargetSet, params: np.ndarray, pairs: tuple | None = None,
+             basis: np.ndarray | None = None) -> np.ndarray:
     """Dense Hessian of ``_energy`` in the Newton coordinates: ``params`` on the
     line and intervals, on the sphere the 2N coordinates (all e1, then all e2)
     of each point's ``_tangent_basis``; from the pair data ``_evaluate``
-    returned at ``params`` (computed here if not given)."""
+    returned at ``params`` (computed here if not given), and on the sphere
+    the tangent basis at its unit vectors (likewise)."""
     if pairs is None:
         pairs = _evaluate(target, params)[1]
     if isinstance(target, RealLine):
         n = len(params)
-        i, j = _pairs(n)
         _, s = pairs
         # d^2/dp_i dp_j of -2 log|sin(p_i - p_j)| is -2 csc^2(p_i - p_j), and
         # every row sums to zero: rotations are a null direction
-        h = np.zeros(n * n)
-        h[i * n + j] = h[j * n + i] = -2.0 * _pair_scale(n) / (s * s)
-        h = h.reshape(n, n)
-        h[np.diag_indices(n)] = -h.sum(axis=1)
+        off = -2.0 * _pair_scale(n) / (s * s)
+        h = _scatter(n, off, off)
+        h.flat[::n + 1] = -np.add.reduce(h, axis=1)
         return h
     if isinstance(target, Sphere):
         u, norms = pairs
         n = len(norms)
         diff = u[:, :, None] - u[:, None, :]
-        d2 = (diff * diff).sum(axis=0)
-        np.fill_diagonal(d2, np.inf)
+        d2 = np.add.reduce(diff * diff)
+        d2.flat[::n + 1] = np.inf
         w = 1.0 / d2
         w2 = w * w
-        basis = _tangent_basis(u)
-        dots = [e.T @ u for e in basis]  # dots[a][i, j] = e_a(u_i) . u_j
-        # In units of 2/(n(n-1)): the Euclidean Hessian of the pair sum has,
-        # for i != j, the 3 x 3 blocks I/d2 - 2 (u_i - u_j)(u_i - u_j)^T/d2^2,
-        # and minus their row sums on the diagonal; e_a(u_i) . (u_i - u_j) is
-        # -e_a(u_i) . u_j.  The sphere's curvature adds -u_i . g_i = (n - 1)/2
-        # on the diagonal, g the Euclidean gradient, as u_i . (u_i - u_j) = d2/2.
-        blocks = []
-        for a in range(2):
-            row = []
-            for b in range(2):
-                block = (basis[a].T @ basis[b]) * w + 2.0 * dots[a] * dots[b].T * w2
-                diag = (2.0 * (dots[a] * dots[b] * w2).sum(axis=1)
-                        - (w.sum(axis=1) - 0.5 * (n - 1) if a == b else 0.0))
-                row.append(block + np.diag(diag))
-            blocks.append(row)
+        if basis is None:
+            basis = _tangent_basis(u)
+        et = basis.transpose(0, 2, 1)
+        dots = et @ u  # dots[a][i, j] = e_a(u_i) . u_j
+        # h[a, b] is the (e_a, e_b) block.  In units of 2/(n(n-1)): the
+        # Euclidean Hessian of the pair sum has, for i != j, the 3 x 3 blocks
+        # I/d2 - 2 (u_i - u_j)(u_i - u_j)^T/d2^2, and minus their row sums on
+        # the diagonal; e_a(u_i) . (u_i - u_j) is -e_a(u_i) . u_j.  The
+        # sphere's curvature adds -u_i . g_i = (n - 1)/2 on the diagonal, g the
+        # Euclidean gradient, as u_i . (u_i - u_j) = d2/2.
+        h = (et[:, None] @ basis[None, :]) * w
+        h += 2.0 * dots[:, None] * dots.transpose(0, 2, 1)[None, :] * w2
+        diag = 2.0 * np.add.reduce(dots[:, None] * dots[None, :] * w2, axis=3)
+        diag[[0, 1], [0, 1]] -= np.add.reduce(w, axis=1) - 0.5 * (n - 1)
+        h.reshape(4, n * n)[:, ::n + 1] += diag.reshape(4, n)
         # the energy sees x/|x|: a tangent step dx moves u by dx/|x|
-        scale = 1.0 / np.tile(norms, 2)
-        return 2.0 * _pair_scale(n) * np.block(blocks) * scale[:, None] * scale[None, :]
+        scale = 1.0 / norms
+        h *= 2.0 * _pair_scale(n)
+        h *= scale[:, None]
+        h *= scale
+        return h.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
     if isinstance(target, Interval):
-        alpha = math.atan(target.r)
-        theta = alpha * np.sin(params)
-        jac = alpha * np.cos(params)
-        # chain rule through theta(t): J H J, plus theta'' = -theta on the diagonal
-        h = _hessian(RealLine(), theta, pairs) * jac[:, None] * jac[None, :]
-        h[np.diag_indices(len(params))] -= _gradient(RealLine(), theta, pairs) * theta
+        # as in _gradient, then the chain rule through sin t: J H J with J = cos t,
+        # plus (sin t)'' = -sin t times the gradient in sin t on the diagonal
+        d, s = pairs
+        scaled = (d, s / math.atan(target.r))
+        jac = np.cos(params)
+        h = _hessian(RealLine(), params, scaled) * jac[:, None] * jac[None, :]
+        h.flat[::len(params) + 1] -= _gradient(RealLine(), params, scaled) * np.sin(params)
         return h
     raise TypeError(f"not a target set: {target!r}")
 
 
-def _tangent_basis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal tangent vectors e1 and e2 = u x e1 at each unit column of u."""
-    axis = np.zeros_like(u)
-    axis[np.argmin(np.abs(u), axis=0), np.arange(u.shape[1])] = 1.0
-    e1 = np.cross(axis, u, axis=0)
-    e1 /= np.sqrt((e1 * e1).sum(axis=0))
-    return e1, np.cross(u, e1, axis=0)
+# e_k x u = (sum_m eps_rkm u_m)_r for the axis e_k: row r of it is
+# _CROSS_SIGN[r, k] * u[_CROSS_ROW[r, k]], a signed permutation of u's rows
+_CROSS_ROW = np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+_CROSS_SIGN = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+# row r of a x b is a[_NEXT[r]] b[_PREV[r]] - a[_PREV[r]] b[_NEXT[r]]
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _tangent_basis(u: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent vectors e1 and e2 = u x e1 at each unit column of
+    u, as one (2, 3, N) array: e1 is e_k x u normalised, e_k the axis of u's
+    smallest component."""
+    n = u.shape[1]
+    k = np.argmin(np.abs(u), axis=0)
+    basis = np.empty((2, 3, n))
+    e1 = basis[0]
+    np.multiply(_CROSS_SIGN[:, k], u[_CROSS_ROW[:, k], np.arange(n)], out=e1)
+    e1 /= np.sqrt(np.add.reduce(e1 * e1))
+    np.subtract(u[_NEXT] * e1[_PREV], u[_PREV] * e1[_NEXT], out=basis[1])
+    return basis
 
 
 def _newton_trial(target: TargetSet, params: np.ndarray, pairs: tuple,
@@ -236,31 +278,31 @@ def _newton_trial(target: TargetSet, params: np.ndarray, pairs: tuple,
     Rotations leave the real-line and sphere energies unchanged, so their
     Hessians are singular along them.  A rank-one 11^T term on the line, and
     the outer products of the three rotation generators on the sphere, lift
-    that null space; the gradient is orthogonal to it, so the step does not
-    turn the configuration.  On an interval the rotation is no symmetry, and
-    the Hessian is taken as it is.
+    that null space, scaled so that its nonzero eigenvalues sit near the mean
+    diagonal; the gradient is orthogonal to it, so the step does not turn
+    the configuration.  On an interval the rotation is no symmetry, and the
+    Hessian is taken as it is.
     """
-    h = _hessian(target, params, pairs)
     if isinstance(target, Sphere):
-        u = pairs[0]
-        e1, e2 = _tangent_basis(u)
-        g = grad.reshape(3, -1)
-        rhs = np.concatenate([(e1 * g).sum(axis=0), (e2 * g).sum(axis=0)])
+        basis = _tangent_basis(pairs[0])
+        h = _hessian(target, params, pairs, basis)
+        rhs = np.add.reduce(basis * grad.reshape(3, -1), axis=1).ravel()
         # e_k x u_i in tangent coordinates: (e_k . e2_i, -e_k . e1_i)
-        null = np.concatenate([e2, -e1], axis=1)
+        null = np.concatenate([basis[1], -basis[0]], axis=1)
+        # its squares summed column by column: the order fixes the rounding
+        h += (np.trace(h) * 3 / (len(h) * np.add.reduce((null * null).ravel("F")))) * (null.T @ null)
     else:
+        h = _hessian(target, params, pairs)
         rhs = grad
-        null = np.ones((1, len(params))) if isinstance(target, RealLine) else None
-    if null is not None:
-        # scaled so that its nonzero eigenvalues sit near the mean diagonal
-        h = h + (np.trace(h) * len(null) / (len(h) * (null * null).sum())) * (null.T @ null)
+        if isinstance(target, RealLine):  # 11^T, scaled as on the sphere: trace(h) / (n |1|^2)
+            h += np.trace(h) / (len(h) * len(h))
     try:
         step = np.linalg.solve(h, rhs)
     except np.linalg.LinAlgError:  # no step: the gradient test refuses it
         return params
     if isinstance(target, Sphere):
         n = len(step) // 2
-        step = (e1 * step[:n] + e2 * step[n:]).ravel()
+        step = (basis[0] * step[:n] + basis[1] * step[n:]).ravel()
     return _retract(target, params - step)
 
 
@@ -268,7 +310,7 @@ def _retract(target: TargetSet, params: np.ndarray) -> np.ndarray:
     """Map a descent point back onto its chart: unit rows on the sphere."""
     if isinstance(target, Sphere):
         x = params.reshape(3, -1)
-        return (x / np.sqrt((x * x).sum(axis=0))).ravel()
+        return (x / np.sqrt(np.add.reduce(x * x))).ravel()
     return params
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -116,12 +117,14 @@ def _full_matrix_squared_distances(u):
     return diff[0] * diff[0] + diff[1] * diff[1] + diff[2] * diff[2]
 
 
-def _full_matrix_gradient(target, params):
+def _full_matrix_gradient(target, params, alpha=1.0):
+    """On the line with ``alpha`` != 1: the gradient in sin t of the arc
+    theta = alpha sin t, from the sines divided by alpha."""
     if isinstance(target, RealLine):
         n = len(params)
         d = params[:, None] - params[None, :]
         np.fill_diagonal(d, np.pi / 2)  # placeholder; diagonal excluded below
-        cot = np.cos(d) / np.sin(d)
+        cot = np.cos(d) / (np.sin(d) / alpha)
         np.fill_diagonal(cot, 0.0)
         return -2.0 * _pair_scale(n) * np.sum(cot, axis=1)
     if isinstance(target, Sphere):
@@ -136,9 +139,10 @@ def _full_matrix_gradient(target, params):
         for _ in range(2):  # the second pass removes the first one's radial rounding
             du = du - (du[0] * u[0] + du[1] * u[1] + du[2] * u[2]) * u
         return (du / norms).ravel()
+    # in the t chart: each term is cos(theta_i - theta_j) alpha / sin(theta_i - theta_j),
+    # times cos t_i, so that it stays finite at tiny radii
     alpha = math.atan(target.r)
-    return (_full_matrix_gradient(RealLine(), alpha * np.sin(params))
-            * (alpha * np.cos(params)))
+    return _full_matrix_gradient(RealLine(), alpha * np.sin(params), alpha) * np.cos(params)
 
 
 class TestKernels:
@@ -209,7 +213,7 @@ def hessian_relative_error(target, params, h=1e-6):
 
 
 class TestHessians:
-    @pytest.mark.parametrize("target", TARGETS + [Interval(1e10)])
+    @pytest.mark.parametrize("target", TARGETS + [Interval(1e10), Interval(1e-300)])
     @pytest.mark.parametrize("n", [3, 8, 24])
     def test_matches_central_differences_of_the_gradient(self, target, n):
         # a few descent steps keep the points apart, as for the gradient test
@@ -243,7 +247,7 @@ class TestHessians:
             coords = np.concatenate([(e1 * turn).sum(axis=0), (e2 * turn).sum(axis=0)])
             assert np.abs(hess @ coords).max() <= 1e-9
 
-    @pytest.mark.parametrize("target", TARGETS + [Interval(1e10)])
+    @pytest.mark.parametrize("target", TARGETS + [Interval(1e10), Interval(1e-300)])
     def test_newton_steps_converge_quadratically(self, target):
         # near a minimum: from a gradient norm <= 1e-3 to <= 1e-10 in <= 4 steps
         best = minimize(target, 16, seed=0).params
@@ -277,6 +281,46 @@ class TestHessians:
         assert all(b <= a + 1e-15 for a, b in zip(trace, trace[1:]))
 
 
+def _cross_basis(u):
+    """The tangent basis built with np.cross: e_k x u normalised, e_k the axis
+    of u's smallest component, and u x e1."""
+    axis = np.zeros_like(u)
+    axis[np.argmin(np.abs(u), axis=0), np.arange(u.shape[1])] = 1.0
+    e1 = np.cross(axis, u, axis=0)
+    e1 /= np.sqrt((e1 * e1).sum(axis=0))
+    return e1, np.cross(u, e1, axis=0)
+
+
+class TestTangentBasis:
+    """The closed-form basis: e_k x u is a signed permutation of u's rows."""
+
+    @staticmethod
+    def unit_columns():
+        a = 1 / math.sqrt(2)
+        special = [(0, 0, 1), (0, 0, -1),  # the poles
+                   (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),  # the other axes
+                   (a, a, 0), (a, -a, 0), (-a, a, 0), (0.6, 0.6, math.sqrt(0.28)),  # |x| = |y|
+                   (0.6, -0.6, -math.sqrt(0.28)), (0, a, a), (a, 0, -a),  # ties with zeros
+                   (1 / math.sqrt(3),) * 3]  # a three-way tie
+        x = np.random.default_rng(41).standard_normal((3, 200))
+        return np.concatenate([np.array(special, dtype=float).T, x / np.linalg.norm(x, axis=0)],
+                              axis=1)
+
+    def test_equal_to_the_cross_products(self):
+        u = self.unit_columns()
+        e1, e2 = _tangent_basis(u)
+        want1, want2 = _cross_basis(u)
+        assert np.array_equal(e1, want1)
+        assert np.array_equal(e2, want2)
+
+    def test_orthonormal_tangent_and_right_handed(self):
+        u = self.unit_columns()
+        e1, e2 = _tangent_basis(u)
+        for a, b, want in ((e1, e1, 1.0), (e2, e2, 1.0), (e1, e2, 0.0), (e1, u, 0.0), (e2, u, 0.0)):
+            assert np.abs(np.sum(a * b, axis=0) - want).max() <= 4 * np.finfo(float).eps
+        assert np.array_equal(e2, np.cross(u, e1, axis=0))
+
+
 class TestSphereChart:
     """Sphere descent runs on unit vectors of R^3, 3N numbers (x, y, z rows)."""
 
@@ -305,7 +349,8 @@ class TestSphereChart:
         assert energy == _energy(Sphere(), params)
 
     @pytest.mark.parametrize("n, optimum", [(4, -0.5 * math.log(2 / 3)),  # tetrahedron
-                                            (6, 0.4 * math.log(2))])  # octahedron
+                                            (6, 0.4 * math.log(2)),  # octahedron
+                                            (12, 5 / 22 * math.log(5))])  # icosahedron
     def test_platonic_optima(self, n, optimum):
         for seed in range(3):
             result = minimize(Sphere(), n, seed=seed)
@@ -356,6 +401,18 @@ class TestMinimize:
         result = minimize(Interval(r), 8, seed=0)
         assert result.converged
         assert abs(result.energy - equally_spaced_energy(8)) <= 1e-9
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_tiny_radii_keep_newton_steps(self, n):
+        # E(r) + log r tends to the energy of [-1, 1], as theta = atan(r) sin t;
+        # the gradient and Hessian terms stay finite, so Newton steps are kept
+        small = minimize(Interval(1e-100), n, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tiny = minimize(Interval(1e-305), n, seed=0)
+        assert small.converged and tiny.converged
+        assert abs((tiny.energy + math.log(1e-305)) - (small.energy + math.log(1e-100))) <= 1e-12
+        assert abs(tiny.evaluations - small.evaluations) <= 0.1 * small.evaluations
 
     @pytest.mark.parametrize("seed", range(5))
     def test_two_points_reach_zero_exactly(self, seed):
@@ -455,6 +512,64 @@ class TestConvergenceTable:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             convergence_table(RealLine(), [4, 2])
+
+
+# (target, n, seed, iterations, evaluations, converged, energy) of minimize:
+# a change to the descent kernels that keeps their arithmetic keeps these
+# exactly.  Taken with numpy 2.4 and OpenBLAS 0.3 on x86-64; another BLAS
+# may round a Newton solve differently
+TRAJECTORIES = [
+    ("sphere", 2, 0, 1, 32, True, 0.0),
+    ("sphere", 2, 1, 1, 32, True, 0.0),
+    ("sphere", 2, 2, 1, 32, True, 0.0),
+    ("sphere", 3, 0, 5, 112, True, 0.14384103622589034),
+    ("sphere", 3, 1, 5, 115, True, 0.14384103622589034),
+    ("sphere", 3, 2, 5, 113, True, 0.1438410362258903),
+    ("sphere", 4, 0, 8, 209, True, 0.20273255405408208),
+    ("sphere", 4, 1, 10, 181, True, 0.20273255405408208),
+    ("sphere", 4, 2, 12, 187, True, 0.20273255405408208),
+    ("sphere", 6, 0, 11, 286, True, 0.27725887222397805),
+    ("sphere", 6, 1, 14, 265, True, 0.27725887222397805),
+    ("sphere", 6, 2, 13, 277, True, 0.277258872223978),
+    ("sphere", 8, 0, 33, 936, True, 0.3207179740792238),
+    ("sphere", 8, 1, 25, 703, True, 0.3207179740792238),
+    ("sphere", 8, 2, 38, 545, True, 0.32071797407922387),
+    ("sphere", 12, 0, 27, 514, True, 0.36578134373502275),
+    ("sphere", 12, 1, 31, 535, True, 0.36578134373502275),
+    ("sphere", 12, 2, 23, 513, True, 0.3657813437350227),
+    ("sphere", 16, 0, 96, 1267, True, 0.3922625792103568),
+    ("sphere", 16, 1, 51, 1448, True, 0.39226257921035684),
+    ("sphere", 16, 2, 55, 1477, True, 0.3922625792103568),
+    ("sphere", 32, 0, 43, 1384, True, 0.4363349474656302),
+    ("sphere", 32, 1, 47, 1482, True, 0.43633494746563023),
+    ("sphere", 32, 2, 46, 1516, True, 0.4363349474656302),
+    ("line", 2, 0, 4, 116, True, 0.0),
+    ("line", 2, 1, 3, 114, True, 0.0),
+    ("line", 2, 2, 4, 109, True, 0.0),
+    ("line", 8, 0, 11, 207, True, 0.39608410317711146),
+    ("line", 8, 1, 8, 201, True, 0.3960841031771115),
+    ("line", 8, 2, 9, 192, True, 0.39608410317711146),
+    ("line", 16, 0, 11, 262, True, 0.5083079324106266),
+    ("line", 16, 1, 14, 251, True, 0.5083079324106264),
+    ("line", 16, 2, 11, 242, True, 0.5083079324106266),
+    ("line", 32, 0, 13, 298, True, 0.581349248211567),
+    ("line", 32, 1, 20, 303, True, 0.581349248211567),
+    ("line", 32, 2, 13, 291, True, 0.581349248211567),
+    ("line", 64, 0, 18, 338, True, 0.6271331633637599),
+    ("line", 64, 1, 15, 354, True, 0.6271331633637599),
+    ("line", 64, 2, 20, 369, True, 0.6271331633637599),
+]
+
+
+@pytest.mark.parametrize("name, n, seed, iterations, evaluations, converged, energy",
+                         TRAJECTORIES, ids=[f"{row[0]}-{row[1]}-{row[2]}" for row in TRAJECTORIES])
+def test_trajectory_is_pinned(name, n, seed, iterations, evaluations, converged, energy):
+    # the Newton trial's kernels changed their cost, not their arithmetic:
+    # every descent takes the same steps
+    config = minimize(Sphere() if name == "sphere" else RealLine(), n, seed=seed)
+    assert (config.iterations, config.evaluations, config.converged) == (
+        iterations, evaluations, converged)
+    assert abs(config.energy - energy) <= 2 * math.ulp(energy)
 
 
 def _bb_descend(target, params, budget, grad_tol=1e-10):
