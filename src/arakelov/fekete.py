@@ -41,9 +41,25 @@ is taken: rows normalised on the sphere, unchanged on the line and intervals
 
 The two energy kernels (sphere, real line) evaluate the chordal kernel on the
 n(n-1)/2 point pairs only (their indices cached per n), and return the pair
-data their gradient and Hessian kernels reuse at the same point.  An accepted
-step keeps the energy its test computed and the pair data it left, so an
-iteration evaluates the gradient once and the energy only at trial points.
+data their gradient kernel reuses at the same point; the gradient returns in
+turn the arrays the Hessian reuses there (the sphere's squared distances, an
+interval's line gradient in sin t).  An accepted step keeps the energy its
+test computed and the pair data it left, so an iteration evaluates the
+gradient once and the energy only at trial points.
+
+``minimize`` hands ``descend`` all its restarts as one (R, ...) stack, and
+every kernel takes such a stack, a 1-D point being the batch of one.  Each
+round of the batch evaluates one trial point of every row in one energy
+call, and the gradient at the trials that pass their test in one more; the
+rows that try Newton share one stacked Hessian solve.  Each row keeps its
+own step, BB history, Newton threshold and counts, and a row that
+converges, stalls, ends numerically stationary or spends its budget leaves
+the batch.  The kernels sum along C-ordered rows (a batch of another layout
+is copied first) and the per-row dot products are ddot calls as ``np.dot``
+makes them, so every restart takes the steps of its own one-start descent,
+bit for bit.  The restarts go in chunks of at most ``_CHUNK_PAIRS`` point
+pairs, those of one descent at ``MAX_POINTS``, so memory does not grow with
+the number of restarts.
 """
 from __future__ import annotations
 
@@ -91,6 +107,9 @@ _NEWTON_SWITCH = 1e-2
 _NEWTON_MAX_DIM = 256
 # point count beyond which descent is refused: the pair arrays grow as N^2
 MAX_POINTS = 4 * _NEWTON_MAX_DIM
+# restarts descend in chunks of at most this many pair elements, those of
+# one descent at MAX_POINTS
+_CHUNK_PAIRS = MAX_POINTS * (MAX_POINTS - 1) // 2
 
 
 def _pair_scale(n: int) -> float:
@@ -106,144 +125,198 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=64)
-def _flat_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices i*n + j and j*n + i of the pairs and their mirrors."""
+def _pair_sources(n: int) -> np.ndarray:
+    """For each entry of a flat n x n array, its source in the concatenation
+    of upper pair values, lower ones and a zero: entry i*n + j reads pair
+    (i, j) for i < j, its mirror for i > j, and the zero on the diagonal."""
     i, j = _pairs(n)
-    upper, lower = i * n + j, j * n + i
-    upper.flags.writeable = lower.flags.writeable = False
-    return upper, lower
+    m = len(i)
+    at = np.full(n * n, 2 * m)
+    at[i * n + j] = np.arange(m)
+    at[j * n + i] = np.arange(m, 2 * m)
+    at.flags.writeable = False
+    return at
 
 
-def _evaluate(target: TargetSet, params: np.ndarray) -> tuple[float, tuple]:
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonals of the trailing (n, n) axes of a C-ordered ``a``."""
+    n = a.shape[-1]
+    return a.reshape(a.shape[:-2] + (n * n,))[..., ::n + 1]
+
+
+def _evaluate(target: TargetSet, params: np.ndarray) -> tuple:
     """Discrete energy from the n(n-1)/2 pair distances (+inf at coincident
-    points), and the pair data its gradient reuses at the same params."""
+    points), and the pair data its gradient reuses at the same params.
+
+    Like every kernel here it takes one point (1-D ``params``) or a batch of
+    them, one per row, and then returns one energy per row.  Its sums run
+    along C-ordered rows, however the batch is laid out, so each row rounds
+    as its own 1-D call does."""
+    params = np.ascontiguousarray(params)
     if isinstance(target, RealLine):
-        n = len(params)
+        n = params.shape[-1]
         i, j = _pairs(n)
-        d = params[i] - params[j]
+        d = params.take(i, axis=-1)
+        d -= params.take(j, axis=-1)
         s = np.sin(d)
-        return float(-2.0 * np.add.reduce(np.log(np.abs(s))) * _pair_scale(n)) + 0.0, (d, s)
+        logs = np.abs(s)
+        np.log(logs, out=logs)
+        return -2.0 * np.add.reduce(logs, axis=-1) * _pair_scale(n) + 0.0, (d, s)
     if isinstance(target, Sphere):
-        x = params.reshape(3, -1)
-        norms = np.sqrt(np.add.reduce(x * x))
-        u = x / norms
-        n = len(norms)
+        x = params.reshape(params.shape[:-1] + (3, -1))
+        norms = np.sqrt(np.add.reduce(x * x, axis=-2))
+        u = x / norms[..., None, :]
+        n = norms.shape[-1]
         i, j = _pairs(n)
-        diff = u.take(i, axis=1) - u.take(j, axis=1)
-        d2 = np.add.reduce(diff * diff)
+        diff = u.take(i, axis=-1)
+        diff -= u.take(j, axis=-1)
+        diff *= diff
+        d2 = np.add.reduce(diff, axis=-2)
         # -2 log(|u_i - u_j| / 2) = -log(|u_i - u_j|^2 / 4)
         # d2 / 4 rounds above 1 for pairs that are antipodal up to rounding
-        return (float(-np.add.reduce(np.log(np.minimum(d2 / 4.0, 1.0))) * _pair_scale(n)) + 0.0,
-                (u, norms))
+        d2 /= 4.0
+        np.minimum(d2, 1.0, out=d2)
+        np.log(d2, out=d2)
+        return -np.add.reduce(d2, axis=-1) * _pair_scale(n) + 0.0, (u, norms)
     if isinstance(target, Interval):
         return _evaluate(RealLine(), math.atan(target.r) * np.sin(params))
     raise TypeError(f"not a target set: {target!r}")
 
 
-def _energy(target: TargetSet, params: np.ndarray) -> float:
+def _energy(target: TargetSet, params: np.ndarray) -> float | np.ndarray:
     """Discrete energy of the descent parameters."""
     return _evaluate(target, params)[0]
 
 
-def _scatter(n: int, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """The n x n array holding ``upper`` at the pairs (i, j), i < j, of
-    ``_pairs``, ``lower`` at their mirrors (j, i), and zeros on the diagonal."""
-    at_upper, at_lower = _flat_pairs(n)
-    m = np.zeros(n * n)
-    m[at_upper] = upper
-    m[at_lower] = lower
-    return m.reshape(n, n)
+def _pair_values(like: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A buffer for ``_scatter`` shaped after the pair array ``like``, with its
+    upper and lower parts (to be filled) and its zero set."""
+    m = like.shape[-1]
+    values = np.empty(like.shape[:-1] + (2 * m + 1,))
+    values[..., 2 * m] = 0.0
+    return values, values[..., :m], values[..., m:2 * m]
 
 
-def _gradient(target: TargetSet, params: np.ndarray, pairs: tuple | None = None) -> np.ndarray:
+def _scatter(n: int, values: np.ndarray) -> np.ndarray:
+    """The n x n arrays holding the upper values of a ``_pair_values`` buffer
+    at the pairs (i, j), i < j, of ``_pairs``, its lower ones at their mirrors
+    (j, i), and zeros on the diagonal."""
+    return values.take(_pair_sources(n), axis=-1).reshape(values.shape[:-1] + (n, n))
+
+
+def _gradient_parts(target: TargetSet, params: np.ndarray,
+                    pairs: tuple | None = None) -> tuple[np.ndarray, tuple]:
     """Gradient of ``_energy`` with respect to ``params``, from the pair data
-    ``_evaluate`` returned at ``params`` (computed here if not given)."""
+    ``_evaluate`` returned at ``params`` (computed here if not given), and the
+    arrays ``_hessian`` reuses at the same point: the squared distances (1 on
+    the diagonal) on the sphere, the line gradient in sin t on an interval."""
+    params = np.ascontiguousarray(params)
     if pairs is None:
         pairs = _evaluate(target, params)[1]
     if isinstance(target, RealLine):
-        n = len(params)
+        n = params.shape[-1]
         d, s = pairs
-        c = np.cos(d) / s
+        values, c, mirror = _pair_values(d)
+        np.cos(d, out=c)
+        c /= s
         # cos is even and sin odd, so cot(p_j - p_i) is exactly -cot(p_i - p_j)
-        return -2.0 * _pair_scale(n) * np.add.reduce(_scatter(n, c, -c), axis=1)
+        np.negative(c, out=mirror)
+        return -2.0 * _pair_scale(n) * np.add.reduce(_scatter(n, values), axis=-1), ()
     if isinstance(target, Sphere):
         u, norms = pairs
-        n = len(norms)
-        # diff[:, i, j] = u_i - u_j; the n x n form sums faster than a scatter of the pairs
-        diff = u[:, :, None] - u[:, None, :]
-        d2 = np.add.reduce(diff * diff)
-        d2.flat[::n + 1] = 1.0
+        n = norms.shape[-1]
+        # diff[..., :, i, j] = u_i - u_j; the n x n form sums faster than a scatter of the pairs
+        diff = u[..., :, None] - u[..., None, :]
+        work = diff * diff
+        d2 = np.add.reduce(work, axis=-3)
+        _diagonal(d2)[...] = 1.0
         # dE/du_i = -2s * sum_j (u_i - u_j)/|u_i - u_j|^2
-        f = -2.0 * _pair_scale(n) * np.add.reduce(diff / d2, axis=2)
+        np.divide(diff, d2[..., None, :, :], out=work)
+        f = -2.0 * _pair_scale(n) * np.add.reduce(work, axis=-1)
         # the energy sees only x/|x|: project onto the tangent plane at u, scale by 1/|x|.
         # The first projection leaves a radial rounding of about eps |f|, large
         # against a small tangent part; the second leaves about eps |g|.
-        f = f - np.add.reduce(u * f) * u
-        f = f - np.add.reduce(u * f) * u
-        return (f / norms).ravel()
+        f = f - np.add.reduce(u * f, axis=-2)[..., None, :] * u
+        f = f - np.add.reduce(u * f, axis=-2)[..., None, :] * u
+        return (f / norms[..., None, :]).reshape(params.shape), (d2,)
     if isinstance(target, Interval):
         # the line kernel on sines divided by alpha = atan(r) differentiates in sin t:
         # dE/dt_i = -2s cos t_i sum_j cos(theta_i - theta_j) / (sin(theta_i - theta_j) / alpha)
         d, s = pairs
-        return _gradient(RealLine(), params, (d, s / math.atan(target.r))) * np.cos(params)
+        line = _gradient(RealLine(), params, (d, s / math.atan(target.r)))
+        return line * np.cos(params), (line,)
     raise TypeError(f"not a target set: {target!r}")
 
 
+def _gradient(target: TargetSet, params: np.ndarray, pairs: tuple | None = None) -> np.ndarray:
+    """Gradient of ``_energy`` with respect to ``params`` (``_gradient_parts``
+    without the Hessian's arrays)."""
+    return _gradient_parts(target, params, pairs)[0]
+
+
 def _hessian(target: TargetSet, params: np.ndarray, pairs: tuple | None = None,
-             basis: np.ndarray | None = None) -> np.ndarray:
+             basis: np.ndarray | None = None, parts: tuple | None = None) -> np.ndarray:
     """Dense Hessian of ``_energy`` in the Newton coordinates: ``params`` on the
     line and intervals, on the sphere the 2N coordinates (all e1, then all e2)
-    of each point's ``_tangent_basis``; from the pair data ``_evaluate``
-    returned at ``params`` (computed here if not given), and on the sphere
-    the tangent basis at its unit vectors (likewise)."""
+    of each point's ``_tangent_basis``.  It takes the pair data ``_evaluate``
+    returned at ``params``, the arrays ``_gradient_parts`` returned there and,
+    on the sphere, the tangent basis at the unit vectors; each is computed
+    here if not given."""
+    params = np.ascontiguousarray(params)
     if pairs is None:
         pairs = _evaluate(target, params)[1]
     if isinstance(target, RealLine):
-        n = len(params)
+        n = params.shape[-1]
         _, s = pairs
         # d^2/dp_i dp_j of -2 log|sin(p_i - p_j)| is -2 csc^2(p_i - p_j), and
         # every row sums to zero: rotations are a null direction
-        off = -2.0 * _pair_scale(n) / (s * s)
-        h = _scatter(n, off, off)
-        h.flat[::n + 1] = -np.add.reduce(h, axis=1)
+        values, off, mirror = _pair_values(s)
+        np.multiply(s, s, out=off)
+        np.divide(-2.0 * _pair_scale(n), off, out=off)
+        mirror[...] = off
+        h = _scatter(n, values)
+        _diagonal(h)[...] = -np.add.reduce(h, axis=-1)
         return h
+    if parts is None:
+        parts = _gradient_parts(target, params, pairs)[1]
     if isinstance(target, Sphere):
         u, norms = pairs
-        n = len(norms)
-        diff = u[:, :, None] - u[:, None, :]
-        d2 = np.add.reduce(diff * diff)
-        d2.flat[::n + 1] = np.inf
-        w = 1.0 / d2
+        n = norms.shape[-1]
+        w = 1.0 / parts[0]
+        _diagonal(w)[...] = 0.0
+        rowsum = np.add.reduce(w, axis=-1)
+        w = w[..., None, None, :, :]
         w2 = w * w
         if basis is None:
             basis = _tangent_basis(u)
-        et = basis.transpose(0, 2, 1)
-        dots = et @ u  # dots[a][i, j] = e_a(u_i) . u_j
-        # h[a, b] is the (e_a, e_b) block.  In units of 2/(n(n-1)): the
+        et = np.swapaxes(basis, -1, -2)
+        dots = et @ u[..., None, :, :]  # dots[..., a, i, j] = e_a(u_i) . u_j
+        # h[..., a, b, :, :] is the (e_a, e_b) block.  In units of 2/(n(n-1)): the
         # Euclidean Hessian of the pair sum has, for i != j, the 3 x 3 blocks
         # I/d2 - 2 (u_i - u_j)(u_i - u_j)^T/d2^2, and minus their row sums on
         # the diagonal; e_a(u_i) . (u_i - u_j) is -e_a(u_i) . u_j.  The
         # sphere's curvature adds -u_i . g_i = (n - 1)/2 on the diagonal, g the
         # Euclidean gradient, as u_i . (u_i - u_j) = d2/2.
-        h = (et[:, None] @ basis[None, :]) * w
-        h += 2.0 * dots[:, None] * dots.transpose(0, 2, 1)[None, :] * w2
-        diag = 2.0 * np.add.reduce(dots[:, None] * dots[None, :] * w2, axis=3)
-        diag[[0, 1], [0, 1]] -= np.add.reduce(w, axis=1) - 0.5 * (n - 1)
-        h.reshape(4, n * n)[:, ::n + 1] += diag.reshape(4, n)
+        h = (et[..., :, None, :, :] @ basis[..., None, :, :, :]) * w
+        h += 2.0 * dots[..., :, None, :, :] * np.swapaxes(dots, -1, -2)[..., None, :, :, :] * w2
+        diag = 2.0 * np.add.reduce(dots[..., :, None, :, :] * dots[..., None, :, :, :] * w2,
+                                   axis=-1)
+        diag[..., [0, 1], [0, 1], :] -= (rowsum - 0.5 * (n - 1))[..., None, :]
+        _diagonal(h)[...] += diag
         # the energy sees x/|x|: a tangent step dx moves u by dx/|x|
         scale = 1.0 / norms
         h *= 2.0 * _pair_scale(n)
-        h *= scale[:, None]
-        h *= scale
-        return h.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+        h *= scale[..., None, None, :, None]
+        h *= scale[..., None, None, None, :]
+        return np.swapaxes(h, -3, -2).reshape(h.shape[:-4] + (2 * n, 2 * n))
     if isinstance(target, Interval):
         # as in _gradient, then the chain rule through sin t: J H J with J = cos t,
         # plus (sin t)'' = -sin t times the gradient in sin t on the diagonal
         d, s = pairs
-        scaled = (d, s / math.atan(target.r))
         jac = np.cos(params)
-        h = _hessian(RealLine(), params, scaled) * jac[:, None] * jac[None, :]
-        h.flat[::len(params) + 1] -= _gradient(RealLine(), params, scaled) * np.sin(params)
+        h = (_hessian(RealLine(), params, (d, s / math.atan(target.r)))
+             * jac[..., :, None] * jac[..., None, :])
+        _diagonal(h)[...] -= parts[0] * np.sin(params)
         return h
     raise TypeError(f"not a target set: {target!r}")
 
@@ -258,22 +331,26 @@ _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 def _tangent_basis(u: np.ndarray) -> np.ndarray:
     """Orthonormal tangent vectors e1 and e2 = u x e1 at each unit column of
-    u, as one (2, 3, N) array: e1 is e_k x u normalised, e_k the axis of u's
-    smallest component."""
-    n = u.shape[1]
-    k = np.argmin(np.abs(u), axis=0)
-    basis = np.empty((2, 3, n))
-    e1 = basis[0]
-    np.multiply(_CROSS_SIGN[:, k], u[_CROSS_ROW[:, k], np.arange(n)], out=e1)
-    e1 /= np.sqrt(np.add.reduce(e1 * e1))
-    np.subtract(u[_NEXT] * e1[_PREV], u[_PREV] * e1[_NEXT], out=basis[1])
-    return basis
+    u, (3, N) or a (R, 3, N) batch, as one (2, 3, N) array per batch row: e1
+    is e_k x u normalised, e_k the axis of u's smallest component."""
+    n = u.shape[-1]
+    flat = u.reshape(-1, 3, n)
+    k = np.argmin(np.abs(flat), axis=1)
+    basis = np.empty((len(flat), 2, 3, n))
+    e1 = basis[:, 0]
+    # (3, R, N) gathers, written through a transposed view of e1
+    rows = _CROSS_ROW[:, k]
+    np.multiply(_CROSS_SIGN[:, k], flat[np.arange(len(flat))[:, None], rows, np.arange(n)],
+                out=e1.transpose(1, 0, 2))
+    e1 /= np.sqrt(np.add.reduce(e1 * e1, axis=1))[:, None]
+    np.subtract(flat[:, _NEXT] * e1[:, _PREV], flat[:, _PREV] * e1[:, _NEXT], out=basis[:, 1])
+    return basis.reshape(u.shape[:-2] + (2, 3, n))
 
 
 def _newton_trial(target: TargetSet, params: np.ndarray, pairs: tuple,
-                  grad: np.ndarray) -> np.ndarray:
-    """The retracted Newton point from ``params``, given the pair data and
-    gradient there.
+                  grad: np.ndarray, parts: tuple) -> np.ndarray:
+    """The retracted Newton points from a (R, ...) batch of ``params``, given
+    the pair data, gradients and gradient arrays there.
 
     Rotations leave the real-line and sphere energies unchanged, so their
     Hessians are singular along them.  A rank-one 11^T term on the line, and
@@ -281,36 +358,50 @@ def _newton_trial(target: TargetSet, params: np.ndarray, pairs: tuple,
     that null space, scaled so that its nonzero eigenvalues sit near the mean
     diagonal; the gradient is orthogonal to it, so the step does not turn
     the configuration.  On an interval the rotation is no symmetry, and the
-    Hessian is taken as it is.
+    Hessian is taken as it is.  The rows share one stacked solve; a row
+    whose Hessian is singular keeps its point.
     """
+    rows = len(params)
     if isinstance(target, Sphere):
         basis = _tangent_basis(pairs[0])
-        h = _hessian(target, params, pairs, basis)
-        rhs = np.add.reduce(basis * grad.reshape(3, -1), axis=1).ravel()
+        h = _hessian(target, params, pairs, basis, parts)
+        rhs = np.add.reduce(basis * grad.reshape(rows, 1, 3, -1), axis=-2).reshape(rows, -1)
         # e_k x u_i in tangent coordinates: (e_k . e2_i, -e_k . e1_i)
-        null = np.concatenate([basis[1], -basis[0]], axis=1)
+        null = np.concatenate([basis[:, 1], -basis[:, 0]], axis=-1)
         # its squares summed column by column: the order fixes the rounding
-        h += (np.trace(h) * 3 / (len(h) * np.add.reduce((null * null).ravel("F")))) * (null.T @ null)
+        squares = np.add.reduce((null * null).swapaxes(1, 2).reshape(rows, -1), axis=-1)
+        lift = np.add.reduce(_diagonal(h), axis=-1) * 3 / (h.shape[-1] * squares)
+        h += lift[:, None, None] * (null.swapaxes(1, 2) @ null)
     else:
-        h = _hessian(target, params, pairs)
+        h = _hessian(target, params, pairs, parts=parts)
         rhs = grad
         if isinstance(target, RealLine):  # 11^T, scaled as on the sphere: trace(h) / (n |1|^2)
-            h += np.trace(h) / (len(h) * len(h))
+            h += (np.add.reduce(_diagonal(h), axis=-1) / (h.shape[-1] * h.shape[-1]))[:, None, None]
+    singular = []
     try:
-        step = np.linalg.solve(h, rhs)
-    except np.linalg.LinAlgError:  # no step: the gradient test refuses it
-        return params
+        step = np.linalg.solve(h, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # no step for a singular row: the gradient test refuses it
+        step = np.zeros_like(rhs)
+        for k in range(rows):
+            try:
+                step[k] = np.linalg.solve(h[k], rhs[k])
+            except np.linalg.LinAlgError:
+                singular.append(k)
     if isinstance(target, Sphere):
-        n = len(step) // 2
-        step = (basis[0] * step[:n] + basis[1] * step[n:]).ravel()
-    return _retract(target, params - step)
+        n = step.shape[-1] // 2
+        step = (basis[:, 0] * step[:, None, :n] + basis[:, 1] * step[:, None, n:]).reshape(rows, -1)
+    trial = _retract(target, params - step)
+    if singular:
+        trial[singular] = params[singular]
+    return trial
 
 
 def _retract(target: TargetSet, params: np.ndarray) -> np.ndarray:
-    """Map a descent point back onto its chart: unit rows on the sphere."""
+    """Map descent points back onto their chart: unit rows on the sphere."""
     if isinstance(target, Sphere):
-        x = params.reshape(3, -1)
-        return (x / np.sqrt(np.add.reduce(x * x))).ravel()
+        params = np.ascontiguousarray(params)
+        x = params.reshape(params.shape[:-1] + (3, -1))
+        return (x / np.sqrt(np.add.reduce(x * x, axis=-2))[..., None, :]).reshape(params.shape)
     return params
 
 
@@ -369,12 +460,76 @@ def _canonicalize(target: TargetSet, params: np.ndarray) -> np.ndarray:
     return np.arcsin(np.sin(params))
 
 
+def _take(data, rows: np.ndarray):
+    """The batch rows ``rows`` (sorted distinct indices) of an array or of a
+    tuple of arrays; all of them is the data itself."""
+    if isinstance(data, tuple):
+        return tuple(_take(a, rows) for a in data)
+    return data if len(rows) == len(data) else data[rows]
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """a_k . b_k for each row k of two (R, P) batches, with the bits of
+    ``np.dot`` on the 1-D rows: a stack of (1, P) @ (P, 1) products calls
+    the same BLAS ddot row by row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0].tolist()
+
+
+# what a row does next: form a Newton trial, take a fresh BB step, or
+# evaluate its backtracked BB step
+_NEWTON, _BB, _BACK = range(3)
+
+
+class _Row:
+    """The scalars of one descending row, Python floats as a one-start
+    descent keeps them."""
+
+    __slots__ = ("start", "energy", "gnorm2", "slack", "step", "newton_below", "stalls",
+                 "iterations", "evaluations", "todo", "trace")
+
+    def __init__(self, start, energy, gnorm2, newton_below, trace):
+        self.start, self.energy, self.gnorm2, self.trace = start, energy, gnorm2, trace
+        self.newton_below = newton_below
+        self.step, self.stalls, self.iterations, self.evaluations = 1.0, 0, 0, 2
+
+    def begin(self, budget: int, grad_tol: float) -> bool | None:
+        """Start an iteration: ``converged`` if the row ends here, else None."""
+        if self.stalls >= 8:
+            return True
+        if self.iterations >= budget:
+            return False
+        gnorm = math.sqrt(self.gnorm2)
+        if gnorm <= grad_tol:
+            return True
+        # double precision can no longer resolve a change this small
+        self.slack = 4e-16 * (1.0 + abs(self.energy))
+        self.todo = _NEWTON if gnorm < self.newton_below else _BB
+        return None
+
+    def refuse(self) -> None:
+        """A refused Newton step: BB steps until the gradient norm falls tenfold."""
+        self.newton_below = 0.1 * math.sqrt(self.gnorm2)
+        self.todo = _BB
+
+
+class _Rows:
+    """Per-row state of a batched descent: every field holds one entry per
+    row (an array or a tuple of arrays)."""
+
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
+    def keep(self, rows: np.ndarray) -> None:
+        for name, value in vars(self).items():
+            setattr(self, name, _take(value, rows))
+
+
 def descend(target: TargetSet, params: np.ndarray, budget: int,
-            grad_tol: float = 1e-10,
-            trace: list | None = None) -> tuple[np.ndarray, float, int, bool, int]:
-    """Gradient descent with Newton steps near a minimum: ``(params, energy,
-    iterations, converged, evaluations)``, the last counting every energy,
-    gradient and Hessian evaluation.
+            grad_tol: float = 1e-10, trace: list | None = None) -> tuple:
+    """Gradient descent with Newton steps near a minimum, from one start
+    (1-D ``params``) or a stack of them (one per row): ``(params, energy,
+    iterations, converged, evaluations)``, each per row for a stack, the last
+    counting every energy, gradient and Hessian evaluation.
 
     Each iteration takes one step.  Below a gradient norm of
     ``_NEWTON_SWITCH`` (dimension at most ``_NEWTON_MAX_DIM``) it tries a
@@ -384,72 +539,153 @@ def descend(target: TargetSet, params: np.ndarray, budget: int,
     Barzilai-Borwein with Armijo backtracking, which lowers the energy.
     Each trial point is retracted onto the chart before its energy is taken,
     and the gradient at the accepted trial reuses that energy's pair data.
+
+    A stack descends as one batch, and a start is the batch of one.  Each
+    round takes the energy at one trial point of every row (the first trial
+    of an iteration, a backtracked one, or the BB step after a refused
+    Newton step) in one kernel call, and the gradient at every trial that
+    passes its test in another.  Each row keeps its own step, BB history,
+    Newton threshold, stall, iteration and evaluation counts and budget,
+    and leaves the batch once it converges, stalls, ends numerically
+    stationary or spends the budget.  The kernels sum along C-ordered rows
+    and a row's dot products have the bits of its own ``np.dot``, so every
+    row takes the steps of its one-start call, bit for bit.  ``trace``
+    receives the energies of a one-start descent, or one list of them per
+    row of a stack.
     """
-    params = _retract(target, np.asarray(params, dtype=float).copy())
-    energy, pairs = _evaluate(target, params)
-    grad = _gradient(target, params, pairs)
-    evaluations = 2
-    if not (math.isfinite(energy) and np.isfinite(grad).all()):  # NaN fails Armijo until "stationary"
-        raise FloatingPointError(f"descent start is not finite: energy {energy!r}")
+    one = np.ndim(params) == 1
+    x = _retract(target, np.array(params, dtype=float, order="C", ndmin=2))
+    energy, pairs = _evaluate(target, x)
+    grad, parts = _gradient_parts(target, x, pairs)
+    bad = ~(np.isfinite(energy) & np.isfinite(grad).all(axis=1))
+    if bad.any():  # NaN fails Armijo until "stationary"
+        raise FloatingPointError(f"descent start is not finite: energy {float(energy[bad][0])!r}")
+    count = len(x)
+    dim = x.shape[1] // 3 * 2 if isinstance(target, Sphere) else x.shape[1]
+    newton = dim <= _NEWTON_MAX_DIM  # else no Hessian: the gradient's arrays are dropped
+    traces = [None] * count
     if trace is not None:
-        trace.append(energy)
-    dim = len(params) // 3 * 2 if isinstance(target, Sphere) else len(params)
-    newton_below = _NEWTON_SWITCH if dim <= _NEWTON_MAX_DIM else 0.0
-    step = 1.0
-    prev_params = prev_grad = None
-    iterations = 0
-    stalls = 0
-    for _ in range(budget):
-        gnorm2 = float(np.dot(grad, grad))
-        gnorm = math.sqrt(gnorm2)
-        if gnorm <= grad_tol:
-            return params, energy, iterations, True, evaluations
-        # double precision can no longer resolve a change this small
-        slack = 4e-16 * (1.0 + abs(energy))
-        new_grad = None
-        if gnorm < newton_below:
-            trial = _newton_trial(target, params, pairs, grad)
-            trial_energy, trial_pairs = _evaluate(target, trial)
-            if trial_energy <= energy + slack:
-                new_grad = _gradient(target, trial, trial_pairs)
-            evaluations += 2 if new_grad is None else 3  # with the Hessian
-            if new_grad is not None and float(np.dot(new_grad, new_grad)) <= 0.25 * gnorm2:
-                pairs = trial_pairs
-            else:  # refused: BB steps until the gradient norm falls tenfold
-                new_grad = None
-                newton_below = 0.1 * gnorm
-        if new_grad is None:
-            # Barzilai-Borwein trial step, safeguarded by the Armijo test below
-            if prev_grad is not None:
-                s = params - prev_params
-                y = grad - prev_grad
-                sy = float(np.dot(s, y))
-                step = float(np.dot(s, s)) / sy if sy > 0 else step * 2.0
+        traces = [trace] if one else [[] for _ in range(count)]
+        if not one:
+            trace.extend(traces)
+    live = [_Row(k, e, g2, _NEWTON_SWITCH if newton else 0.0, traces[k])
+            for k, (e, g2) in enumerate(zip(energy.tolist(), _row_dots(grad, grad)))]
+    # the arrays of the live rows, row for row
+    a = _Rows(params=x, grad=grad, pairs=pairs, parts=parts if newton else (),
+              trial=np.empty_like(x), prev_params=np.empty_like(x), prev_grad=np.empty_like(x))
+    result = (np.empty_like(x), np.empty(count), np.zeros(count, dtype=int),
+              np.zeros(count, dtype=bool), np.zeros(count, dtype=int))
+    ended = []  # (position, converged) of the rows that leave the batch this round
+    for i, row in enumerate(live):
+        if row.trace is not None:
+            row.trace.append(row.energy)
+        converged = row.begin(budget, grad_tol)
+        if converged is not None:
+            ended.append((i, converged))
+    while live:
+        if ended:
+            for i, converged in ended:
+                row = live[i]
+                for out, value in zip(result, (a.params[i], row.energy, row.iterations,
+                                               converged, row.evaluations)):
+                    out[row.start] = value
+            stay = np.delete(np.arange(len(live)), [i for i, _ in ended])
+            live = [live[i] for i in stay]
+            a.keep(stay)
+            ended = []
+            continue
+        tried, bb, seen = [], [], []  # Newton trials, BB steps, fresh BB steps after a first one
+        for i, row in enumerate(live):
+            if row.todo == _NEWTON:
+                tried.append(i)
+                continue
+            bb.append(i)
+            if row.todo == _BB:
+                if row.iterations:
+                    seen.append(i)
+                else:
+                    row.step = min(max(row.step * 2.0, 1e-18), 1e6)
+        if tried:
+            at = np.array(tried)
+            a.trial[at] = _newton_trial(target, *_take((a.params, a.pairs, a.grad, a.parts), at))
+        if seen:
+            # Barzilai-Borwein trial steps, safeguarded by the Armijo test below
+            at = np.array(seen)
+            s = _take(a.params, at) - _take(a.prev_params, at)
+            y = _take(a.grad, at) - _take(a.prev_grad, at)
+            for i, sy, ss in zip(seen, _row_dots(s, y), _row_dots(s, s)):
+                row = live[i]
+                row.step = min(max(ss / sy if sy > 0 else row.step * 2.0, 1e-18), 1e6)
+        if len(bb) == len(live):
+            step = np.array([row.step for row in live])
+            a.trial = _retract(target, a.params - step[:, None] * a.grad)
+        elif bb:
+            at = np.array(bb)
+            step = np.array([live[i].step for i in bb])
+            a.trial[at] = _retract(target, a.params[at] - step[:, None] * a.grad[at])
+        trial_energy, trial_pairs = _evaluate(target, a.trial)
+        moved = []
+        for i, (row, value) in enumerate(zip(live, trial_energy.tolist())):
+            if row.todo == _NEWTON:
+                if value <= row.energy + row.slack:
+                    row.evaluations += 3  # the Hessian, the energy and the gradient
+                    moved.append(i)
+                else:
+                    row.evaluations += 2
+                    row.refuse()
+            elif value <= row.energy - 1e-4 * row.step * row.gnorm2:  # Armijo
+                row.evaluations += 2
+                moved.append(i)
             else:
-                step = step * 2.0
-            step = min(max(step, 1e-18), 1e6)
-            while True:
-                trial = _retract(target, params - step * grad)
-                trial_energy, pairs = _evaluate(target, trial)
-                evaluations += 1
-                if trial_energy <= energy - 1e-4 * step * gnorm2:
-                    break
-                step *= 0.5
-                if step < 1e-18:
-                    return params, energy, iterations, True, evaluations  # numerically stationary
-            # the Armijo test already evaluated the energy at the accepted point
-            new_grad = _gradient(target, trial, pairs)
-            evaluations += 1
-        prev_params, prev_grad = params, grad
-        params, grad = trial, new_grad
-        iterations += 1
-        if trace is not None:
-            trace.append(trial_energy)
-        stalls = stalls + 1 if energy - trial_energy <= slack else 0
-        energy = trial_energy
-        if stalls >= 8:
-            return params, energy, iterations, True, evaluations
-    return params, energy, iterations, False, evaluations
+                row.evaluations += 1
+                row.step *= 0.5
+                row.todo = _BACK
+                if row.step < 1e-18:  # numerically stationary
+                    ended.append((i, True))
+        if not moved:
+            continue
+        at = np.array(moved)
+        new_grad, new_parts = _gradient_parts(target, *_take((a.trial, trial_pairs), at))
+        kept = []
+        for j, (i, value) in enumerate(zip(moved, _row_dots(new_grad, new_grad))):
+            row = live[i]
+            if row.todo == _NEWTON and not value <= 0.25 * row.gnorm2:
+                row.refuse()
+                continue
+            kept.append(j)
+            energy = float(trial_energy[i])
+            row.stalls = row.stalls + 1 if row.energy - energy <= row.slack else 0
+            row.energy, row.gnorm2 = energy, value
+            row.iterations += 1
+            if row.trace is not None:
+                row.trace.append(energy)
+            converged = row.begin(budget, grad_tol)
+            if converged is not None:
+                ended.append((i, converged))
+        if not newton:
+            new_parts = ()
+        if len(kept) == len(live):
+            a.prev_params, a.params, a.trial = a.params, a.trial, a.prev_params
+            a.prev_grad, a.grad, a.pairs, a.parts = a.grad, new_grad, trial_pairs, new_parts
+        elif kept:
+            kept = np.array(kept)
+            at = at[kept]
+            a.prev_params[at], a.prev_grad[at] = a.params[at], a.grad[at]
+            a.params[at] = a.trial[at]
+            a.grad[at] = new_grad[kept]
+            # the pair arrays serve only the Hessian of the rows that try Newton next
+            newton_next = [live[i].todo == _NEWTON for i in at.tolist()]
+            if any(newton_next):
+                at, kept = at[newton_next], kept[newton_next]
+                for old, new in zip(a.pairs, trial_pairs):
+                    old[at] = new[at]
+                for old, new in zip(a.parts, new_parts):
+                    old[at] = new[kept]
+    if one:
+        params, energy, iterations, converged, evaluations = result
+        return (params[0], float(energy[0]), int(iterations[0]), bool(converged[0]),
+                int(evaluations[0]))
+    return result
 
 
 def _check_arguments(n: int, budget: int, restarts: int) -> None:
@@ -472,18 +708,22 @@ def minimize(target: TargetSet, n: int, seed: int = 0, budget: int = 4000,
     Deterministic in (target, n, seed): restart k draws its start from an
     independent stream keyed by (seed, k), and the best energy wins with the
     restart index as tie-break.  ``evaluations`` sums over every restart.
+    The restarts descend as one batch, in chunks of at most ``_CHUNK_PAIRS``
+    point pairs.
     """
     _check_arguments(n, budget, restarts)
     require_normal_radius(target)
+    chunk = max(1, _CHUNK_PAIRS // (n * (n - 1) // 2))
     best = None
     evaluations = 0
-    for k in range(restarts):
-        rng = np.random.default_rng([seed, k])
-        start = _initial_params(target, n, rng)
-        params, energy, iterations, converged, count = descend(target, start, budget, grad_tol)
-        evaluations += count
-        if best is None or energy < best[0]:
-            best = (energy, params, iterations, converged)
+    for first in range(0, restarts, chunk):
+        starts = np.stack([_initial_params(target, n, np.random.default_rng([seed, k]))
+                           for k in range(first, min(first + chunk, restarts))])
+        params, energy, iterations, converged, counts = descend(target, starts, budget, grad_tol)
+        evaluations += int(counts.sum())
+        for k in range(len(starts)):
+            if best is None or energy[k] < best[0]:
+                best = (float(energy[k]), params[k], int(iterations[k]), bool(converged[k]))
     energy, params, iterations, converged = best
     return PointConfiguration(set=target, params=_canonicalize(target, params),
                               energy=energy, iterations=iterations,

@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -477,13 +481,15 @@ class TestMinimize:
         assert config.n == MAX_POINTS
 
     def test_evaluations_count_every_kernel_call_over_every_restart(self, monkeypatch):
+        # the restarts descend as one batch: a kernel call evaluates one point per row
         calls = []
-        for name in ("_evaluate", "_gradient", "_hessian"):
+        for name in ("_evaluate", "_gradient_parts", "_hessian"):
             kernel = getattr(fekete, name)
-            monkeypatch.setattr(fekete, name,
-                                lambda *a, kernel=kernel, **k: calls.append(1) or kernel(*a, **k))
+            monkeypatch.setattr(fekete, name, lambda target, params, *a, kernel=kernel, **k:
+                                calls.append(len(np.atleast_2d(params)))
+                                or kernel(target, params, *a, **k))
         config = minimize(RealLine(), 12, seed=2, restarts=3)
-        assert config.evaluations == len(calls) > 3 * config.iterations
+        assert config.evaluations == sum(calls) > 3 * config.iterations
         assert config.to_json_dict()["evaluations"] == config.evaluations
         json.dumps(config.to_json_dict())
 
@@ -623,3 +629,171 @@ class TestAgainstBarzilaiBorweinAlone:
         # Newton steps may end below the BB stall point, never above it
         assert -1e-15 <= energy - config.energy <= 1e-14
 
+
+
+def _starts(target, n, seed, rows):
+    return np.stack([_initial_params(target, n, np.random.default_rng([seed, k]))
+                     for k in range(rows)])
+
+
+class TestBatchEqualsSerial:
+    """A stack of starts descends as one batch; each row takes, bit for bit,
+    the steps of its own one-start descent."""
+
+    @staticmethod
+    def assert_rows_equal_serial(target, starts, budget, grad_tol=1e-10):
+        trace: list = []
+        params, energy, iterations, converged, evaluations = descend(
+            target, starts, budget, grad_tol, trace=trace)
+        assert params.shape == starts.shape and len(trace) == len(starts)
+        for k, start in enumerate(starts):
+            one: list[float] = []
+            p, e, it, c, ev = descend(target, start, budget, grad_tol, trace=one)
+            assert p.tobytes() == params[k].tobytes()
+            assert np.float64(e).tobytes() == energy[k].tobytes()
+            assert (it, c, ev) == (iterations[k], converged[k], evaluations[k])
+            assert one == trace[k]
+        return iterations, converged, evaluations
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16, 64])
+    @pytest.mark.parametrize("target", [Sphere(), RealLine(), Interval(1.0), Interval(1e10)],
+                             ids=["sphere", "real-line", "interval-1", "interval-1e10"])
+    def test_rows_finish_at_different_iterations(self, target, n):
+        rows = 3 if isinstance(target, Sphere) and n == 64 else 8  # 64 sphere points descend slowly
+        iterations, converged, _ = self.assert_rows_equal_serial(
+            target, _starts(target, n, 1, rows), 4000)
+        assert converged.all()
+        if n > 2:
+            assert len(set(iterations.tolist())) > 1
+
+    @pytest.mark.parametrize("target", [Sphere(), RealLine(), Interval(1.0), Interval(1e10)],
+                             ids=["sphere", "real-line", "interval-1", "interval-1e10"])
+    def test_a_small_budget_is_spent_row_by_row(self, target):
+        iterations, converged, _ = self.assert_rows_equal_serial(
+            target, _starts(target, 16, 2, 6), 9)
+        assert not converged.all() and (iterations == 9).any()
+        assert (iterations < 9).any() or not converged.any()
+
+    def test_a_numerically_stationary_row_leaves_the_batch(self):
+        # grad_tol 0 on two points: some rows reach an exact antipode (gradient
+        # 0), others stop where no step size below 1e6 lowers the energy and
+        # backtracking halves the step below 1e-18, some 60 evaluations on
+        iterations, converged, evaluations = self.assert_rows_equal_serial(
+            Sphere(), _starts(Sphere(), 2, 0, 8), 4000, grad_tol=0.0)
+        assert converged.all()
+        stationary = evaluations - 2 * iterations >= 50
+        assert stationary.any() and not stationary.all()
+
+    def test_one_start_is_the_batch_of_one(self):
+        start = _initial_params(RealLine(), 12, np.random.default_rng(4))
+        p, e, it, c, ev = descend(RealLine(), start, 4000)
+        batch = descend(RealLine(), start[None], 4000)
+        assert p.tobytes() == batch[0][0].tobytes() and isinstance(e, float)
+        assert (e, it, c, ev) == (batch[1][0], batch[2][0], batch[3][0], batch[4][0])
+
+    def test_minimize_equals_serial_restarts(self):
+        # the winner rule over restarts, evaluations summed over all of them
+        for target, n in ((Sphere(), 8), (RealLine(), 16), (Interval(2.0), 8)):
+            runs = [descend(target, start, 4000) for start in _starts(target, n, 5, 8)]
+            best = min(range(8), key=lambda k: (runs[k][1], k))
+            config = minimize(target, n, seed=5)
+            assert config.energy == runs[best][1]
+            assert (config.iterations, config.converged) == runs[best][2:4]
+            assert config.evaluations == sum(run[4] for run in runs)
+            assert np.array_equal(config.params, fekete._canonicalize(target, runs[best][0]))
+
+
+class TestLayoutGuard:
+    """Kernels sum along C-ordered rows whatever the layout of their batch: a
+    Fortran-ordered or strided batch gives the bits of the C-ordered one and
+    of one 1-D call per row."""
+
+    @staticmethod
+    def layouts(batch):
+        wide = np.zeros((2 * len(batch), 2 * batch.shape[1]))
+        wide[::2, ::2] = batch
+        return [np.asfortranarray(batch), wide[::2, ::2], batch[::-1][::-1]]
+
+    @staticmethod
+    def same(a, b):
+        if isinstance(a, tuple):
+            return all(TestLayoutGuard.same(x, y) for x, y in zip(a, b))
+        return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 16, 64])
+    @pytest.mark.parametrize("target", [Sphere(), RealLine(), Interval(1.0)],
+                             ids=["sphere", "real-line", "interval-1"])
+    def test_kernels_ignore_the_layout(self, target, n):
+        batch = _retract(target, _starts(target, n, 7, 5))
+        kernels = (lambda p: _evaluate(target, p)[0],
+                   lambda p: _gradient(target, p),
+                   lambda p: _hessian(target, p),
+                   lambda p: _retract(target, p))
+        for kernel in kernels:
+            want = kernel(batch)
+            for k, row in enumerate(batch):
+                assert self.same(kernel(row.copy()), want[k])
+            for other in self.layouts(batch):
+                assert self.same(kernel(other), want)
+
+    def test_tangent_basis_ignores_the_layout(self):
+        u = _retract(Sphere(), _starts(Sphere(), 9, 2, 4)).reshape(4, 3, 9)
+        want = _tangent_basis(u)
+        for k in range(4):
+            assert self.same(_tangent_basis(u[k].copy()), want[k])
+        assert self.same(_tangent_basis(np.asfortranarray(u)), want)
+
+    def test_row_dots_are_the_one_dimensional_dots(self):
+        rng = np.random.default_rng(9)
+        for p in (1, 7, 16, 33, 64, 96, 1000):
+            a, b = rng.standard_normal((2, 5, p))
+            dots = fekete._row_dots(a, b)
+            assert dots == [float(np.dot(a[k].copy(), b[k].copy())) for k in range(5)]
+
+
+class TestChunks:
+    def test_restarts_split_into_chunks_of_bounded_pairs(self, monkeypatch):
+        rows = []
+        descend_ = fekete.descend
+        monkeypatch.setattr(fekete, "descend", lambda target, starts, *a, **k:
+                            rows.append(len(starts)) or descend_(target, starts, *a, **k))
+        monkeypatch.setattr(fekete, "_CHUNK_PAIRS", 3 * 28)  # three rows of 8 points
+        config = minimize(RealLine(), 8, seed=1, restarts=8)
+        assert rows == [3, 3, 2]
+        assert config.to_json_dict() == minimize(RealLine(), 8, seed=1).to_json_dict()
+
+    def test_peak_memory_does_not_grow_with_restarts(self):
+        # at MAX_POINTS a chunk holds one restart, so eight restarts peak as one does
+        script = ("import resource, sys\n"
+                  "from arakelov.equilibrium import Sphere\n"
+                  "from arakelov.fekete import minimize\n"
+                  "minimize(Sphere(), 1024, budget=3, restarts=int(sys.argv[1]))\n"
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        src = str(Path(fekete.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        peaks = [int(subprocess.run([sys.executable, "-c", script, str(restarts)], env=env,
+                                    capture_output=True, check=True, timeout=300).stdout)
+                 for restarts in (1, 8)]
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_a_singular_hessian_keeps_its_row_in_place(monkeypatch):
+    # the stacked solve fails for the whole stack; each row is then solved
+    # alone, and the row whose Hessian is singular keeps its point
+    target = RealLine()
+    params = _starts(target, 6, 0, 3)
+    energy, pairs = _evaluate(target, params)
+    grad, parts = fekete._gradient_parts(target, params, pairs)
+    want = fekete._newton_trial(target, params, pairs, grad, parts)
+    solve = np.linalg.solve
+
+    def failing(h, rhs):
+        if h.ndim == 3 or np.array_equal(h, fekete._hessian(target, params[1]) + np.trace(
+                fekete._hessian(target, params[1])) / 36):
+            raise np.linalg.LinAlgError("singular")
+        return solve(h, rhs)
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    trial = fekete._newton_trial(target, params, pairs, grad, parts)
+    assert trial[[0, 2]].tobytes() == want[[0, 2]].tobytes()
+    assert trial[1].tobytes() == params[1].tobytes()
