@@ -41,20 +41,23 @@ is taken: rows normalised on the sphere, unchanged on the line and intervals
 
 The two energy kernels (sphere, real line) evaluate the chordal kernel on the
 n(n-1)/2 point pairs only (their indices cached per n), and return the pair
-data their gradient kernel reuses at the same point; the gradient returns in
-turn the arrays the Hessian reuses there (the sphere's squared distances, an
-interval's line gradient in sin t).  An accepted step keeps the energy its
-test computed and the pair data it left, so an iteration evaluates the
-gradient once and the energy only at trial points.
+data their gradient and Hessian reuse at the same point: the pair sines and
+their angles on the line, and on the sphere the unit vectors, the pair
+differences and their squared distances, so the sphere gradient and Hessian
+divide and scatter pairs instead of forming N x N differences.  The interval
+gradient returns the line gradient in sin t for its Hessian.  An accepted
+step keeps the energy its test computed and the pair data it left, so an
+iteration evaluates the gradient once and the energy only at trial points.
 
 ``minimize`` hands ``descend`` all its restarts as one (R, ...) stack, and
 every kernel takes such a stack, a 1-D point being the batch of one.  Each
-round of the batch evaluates one trial point of every row in one energy
-call, and the gradient at the trials that pass their test in one more; the
-rows that try Newton share one stacked Hessian solve.  Each row keeps its
-own step, BB history, Newton threshold and counts, and a row that
-converges, stalls, ends numerically stationary or spends its budget leaves
-the batch.  The kernels sum along C-ordered rows (a batch of another layout
+round of the batch evaluates one trial point of every row it moves in one
+energy call, and the gradient at the trials that pass their test in one
+more.  Rows due a Newton trial wait until they are at least half of the
+batch, and then share one stacked Hessian solve.  Each row keeps its own
+step, BB history, Newton threshold and counts, and a row that converges,
+stalls, ends numerically stationary or spends its budget leaves the
+batch.  The kernels sum along C-ordered rows (a batch of another layout
 is copied first) and the per-row dot products are ddot calls as ``np.dot``
 makes them, so every restart takes the steps of its own one-start descent,
 bit for bit.  The restarts go in chunks of at most ``_CHUNK_PAIRS`` point
@@ -170,14 +173,13 @@ def _evaluate(target: TargetSet, params: np.ndarray) -> tuple:
         i, j = _pairs(n)
         diff = u.take(i, axis=-1)
         diff -= u.take(j, axis=-1)
-        diff *= diff
-        d2 = np.add.reduce(diff, axis=-2)
+        d2 = np.add.reduce(diff * diff, axis=-2)
         # -2 log(|u_i - u_j| / 2) = -log(|u_i - u_j|^2 / 4)
         # d2 / 4 rounds above 1 for pairs that are antipodal up to rounding
-        d2 /= 4.0
-        np.minimum(d2, 1.0, out=d2)
-        np.log(d2, out=d2)
-        return -np.add.reduce(d2, axis=-1) * _pair_scale(n) + 0.0, (u, norms)
+        logs = d2 / 4.0
+        np.minimum(logs, 1.0, out=logs)
+        np.log(logs, out=logs)
+        return -np.add.reduce(logs, axis=-1) * _pair_scale(n) + 0.0, (u, norms, diff, d2)
     if isinstance(target, Interval):
         return _evaluate(RealLine(), math.atan(target.r) * np.sin(params))
     raise TypeError(f"not a target set: {target!r}")
@@ -223,22 +225,20 @@ def _gradient_parts(target: TargetSet, params: np.ndarray,
         np.negative(c, out=mirror)
         return -2.0 * _pair_scale(n) * np.add.reduce(_scatter(n, values), axis=-1), ()
     if isinstance(target, Sphere):
-        u, norms = pairs
+        u, norms, diff, d2 = pairs
         n = norms.shape[-1]
-        # diff[..., :, i, j] = u_i - u_j; the n x n form sums faster than a scatter of the pairs
-        diff = u[..., :, None] - u[..., None, :]
-        work = diff * diff
-        d2 = np.add.reduce(work, axis=-3)
-        _diagonal(d2)[...] = 1.0
-        # dE/du_i = -2s * sum_j (u_i - u_j)/|u_i - u_j|^2
-        np.divide(diff, d2[..., None, :, :], out=work)
-        f = -2.0 * _pair_scale(n) * np.add.reduce(work, axis=-1)
+        # dE/du_i = -2s * sum_j (u_i - u_j)/|u_i - u_j|^2, summed along the rows of
+        # the n x n form; u_j - u_i is exactly -(u_i - u_j), with the same square
+        values, q, mirror = _pair_values(diff)
+        np.divide(diff, d2[..., None, :], out=q)
+        np.negative(q, out=mirror)
+        f = -2.0 * _pair_scale(n) * np.add.reduce(_scatter(n, values), axis=-1)
         # the energy sees only x/|x|: project onto the tangent plane at u, scale by 1/|x|.
         # The first projection leaves a radial rounding of about eps |f|, large
         # against a small tangent part; the second leaves about eps |g|.
         f = f - np.add.reduce(u * f, axis=-2)[..., None, :] * u
         f = f - np.add.reduce(u * f, axis=-2)[..., None, :] * u
-        return (f / norms[..., None, :]).reshape(params.shape), (d2,)
+        return (f / norms[..., None, :]).reshape(params.shape), ()
     if isinstance(target, Interval):
         # the line kernel on sines divided by alpha = atan(r) differentiates in sin t:
         # dE/dt_i = -2s cos t_i sum_j cos(theta_i - theta_j) / (sin(theta_i - theta_j) / alpha)
@@ -280,10 +280,12 @@ def _hessian(target: TargetSet, params: np.ndarray, pairs: tuple | None = None,
     if parts is None:
         parts = _gradient_parts(target, params, pairs)[1]
     if isinstance(target, Sphere):
-        u, norms = pairs
+        u, norms, _, d2 = pairs
         n = norms.shape[-1]
-        w = 1.0 / parts[0]
-        _diagonal(w)[...] = 0.0
+        values, w, mirror = _pair_values(d2)
+        np.divide(1.0, d2, out=w)
+        mirror[...] = w
+        w = _scatter(n, values)
         rowsum = np.add.reduce(w, axis=-1)
         w = w[..., None, None, :, :]
         w2 = w * w
@@ -460,19 +462,41 @@ def _canonicalize(target: TargetSet, params: np.ndarray) -> np.ndarray:
     return np.arcsin(np.sin(params))
 
 
-def _take(data, rows: np.ndarray):
-    """The batch rows ``rows`` (sorted distinct indices) of an array or of a
-    tuple of arrays; all of them is the data itself."""
+def _take(data, rows: np.ndarray | None):
+    """The batch rows ``rows`` (an index array, None for all of them) of an
+    array or of a tuple of arrays."""
+    if rows is None:
+        return data
     if isinstance(data, tuple):
-        return tuple(_take(a, rows) for a in data)
-    return data if len(rows) == len(data) else data[rows]
+        return tuple([a.take(rows, axis=0) for a in data])
+    return data.take(rows, axis=0)
+
+
+def _newton_data(rows: list) -> tuple[tuple, tuple]:
+    """The pair data and gradient arrays at the points of ``rows``, stacked.
+    Each row holds them as ``data``: the arrays of the batch that evaluated
+    its point, and its index in them."""
+    pairs, parts, _ = rows[0].data
+    if all(row.data[0] is pairs for row in rows):
+        at = [row.data[2] for row in rows]
+        if at == list(range(len(pairs[0]))):
+            return pairs, parts
+        at = np.array(at)
+        return _take(pairs, at), _take(parts, at)
+    return tuple(tuple(np.stack([row.data[f][a][row.data[2]] for row in rows])
+                       for a in range(len(rows[0].data[f]))) for f in (0, 1))
+
+
+_vecdot = getattr(np, "vecdot", None)  # numpy >= 2
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> list[float]:
     """a_k . b_k for each row k of two (R, P) batches, with the bits of
-    ``np.dot`` on the 1-D rows: a stack of (1, P) @ (P, 1) products calls
-    the same BLAS ddot row by row."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0].tolist()
+    ``np.dot`` on the 1-D rows: ``np.vecdot``, and before numpy 2 a stack of
+    (1, P) @ (P, 1) products, calls the same BLAS ddot row by row."""
+    if _vecdot is None:
+        return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0].tolist()
+    return _vecdot(a, b).tolist()
 
 
 # what a row does next: form a Newton trial, take a fresh BB step, or
@@ -482,15 +506,18 @@ _NEWTON, _BB, _BACK = range(3)
 
 class _Row:
     """The scalars of one descending row, Python floats as a one-start
-    descent keeps them."""
+    descent keeps them; ``sy`` and ``ss`` are s.y and s.s of its last step,
+    and ``data`` locates the pair data at its point while it is due a
+    Newton trial."""
 
     __slots__ = ("start", "energy", "gnorm2", "slack", "step", "newton_below", "stalls",
-                 "iterations", "evaluations", "todo", "trace")
+                 "iterations", "evaluations", "todo", "trace", "sy", "ss", "data")
 
     def __init__(self, start, energy, gnorm2, newton_below, trace):
         self.start, self.energy, self.gnorm2, self.trace = start, energy, gnorm2, trace
         self.newton_below = newton_below
         self.step, self.stalls, self.iterations, self.evaluations = 1.0, 0, 0, 2
+        self.data = None
 
     def begin(self, budget: int, grad_tol: float) -> bool | None:
         """Start an iteration: ``converged`` if the row ends here, else None."""
@@ -506,22 +533,19 @@ class _Row:
         self.todo = _NEWTON if gnorm < self.newton_below else _BB
         return None
 
+    def bb_step(self) -> float:
+        """The step of the row's next trial: a fresh Barzilai-Borwein step
+        (doubled after a first step or a curvature that is not positive),
+        or its backtracked one."""
+        if self.todo == _BB:
+            step = self.ss / self.sy if self.iterations and self.sy > 0 else self.step * 2.0
+            self.step = min(max(step, 1e-18), 1e6)
+        return self.step
+
     def refuse(self) -> None:
         """A refused Newton step: BB steps until the gradient norm falls tenfold."""
         self.newton_below = 0.1 * math.sqrt(self.gnorm2)
         self.todo = _BB
-
-
-class _Rows:
-    """Per-row state of a batched descent: every field holds one entry per
-    row (an array or a tuple of arrays)."""
-
-    def __init__(self, **fields):
-        self.__dict__.update(fields)
-
-    def keep(self, rows: np.ndarray) -> None:
-        for name, value in vars(self).items():
-            setattr(self, name, _take(value, rows))
 
 
 def descend(target: TargetSet, params: np.ndarray, budget: int,
@@ -541,17 +565,19 @@ def descend(target: TargetSet, params: np.ndarray, budget: int,
     and the gradient at the accepted trial reuses that energy's pair data.
 
     A stack descends as one batch, and a start is the batch of one.  Each
-    round takes the energy at one trial point of every row (the first trial
-    of an iteration, a backtracked one, or the BB step after a refused
-    Newton step) in one kernel call, and the gradient at every trial that
-    passes its test in another.  Each row keeps its own step, BB history,
-    Newton threshold, stall, iteration and evaluation counts and budget,
-    and leaves the batch once it converges, stalls, ends numerically
-    stationary or spends the budget.  The kernels sum along C-ordered rows
-    and a row's dot products have the bits of its own ``np.dot``, so every
-    row takes the steps of its one-start call, bit for bit.  ``trace``
-    receives the energies of a one-start descent, or one list of them per
-    row of a stack.
+    round takes the energy at one trial point of every row it moves in one
+    kernel call, and the gradient at every trial that passes its test in
+    another.  A round moves the rows that take BB steps (the first trial of
+    an iteration or a backtracked one); rows due a Newton trial wait until
+    they are at least half of the batch, and then take their trials in the
+    same round, with one stacked solve.
+    Each row keeps its own step, BB history, Newton threshold, stall,
+    iteration and evaluation counts and budget, and leaves the batch once it
+    converges, stalls, ends numerically stationary or spends the budget.
+    The kernels sum along C-ordered rows and a row's dot products have the
+    bits of its own ``np.dot``, so every row takes the steps of its
+    one-start call, bit for bit.  ``trace`` receives the energies of a
+    one-start descent, or one list of them per row of a stack.
     """
     one = np.ndim(params) == 1
     x = _retract(target, np.array(params, dtype=float, order="C", ndmin=2))
@@ -562,7 +588,7 @@ def descend(target: TargetSet, params: np.ndarray, budget: int,
         raise FloatingPointError(f"descent start is not finite: energy {float(energy[bad][0])!r}")
     count = len(x)
     dim = x.shape[1] // 3 * 2 if isinstance(target, Sphere) else x.shape[1]
-    newton = dim <= _NEWTON_MAX_DIM  # else no Hessian: the gradient's arrays are dropped
+    newton = dim <= _NEWTON_MAX_DIM
     traces = [None] * count
     if trace is not None:
         traces = [trace] if one else [[] for _ in range(count)]
@@ -570,9 +596,6 @@ def descend(target: TargetSet, params: np.ndarray, budget: int,
             trace.extend(traces)
     live = [_Row(k, e, g2, _NEWTON_SWITCH if newton else 0.0, traces[k])
             for k, (e, g2) in enumerate(zip(energy.tolist(), _row_dots(grad, grad)))]
-    # the arrays of the live rows, row for row
-    a = _Rows(params=x, grad=grad, pairs=pairs, parts=parts if newton else (),
-              trial=np.empty_like(x), prev_params=np.empty_like(x), prev_grad=np.empty_like(x))
     result = (np.empty_like(x), np.empty(count), np.zeros(count, dtype=int),
               np.zeros(count, dtype=bool), np.zeros(count, dtype=int))
     ended = []  # (position, converged) of the rows that leave the batch this round
@@ -582,60 +605,55 @@ def descend(target: TargetSet, params: np.ndarray, budget: int,
         converged = row.begin(budget, grad_tol)
         if converged is not None:
             ended.append((i, converged))
+        elif row.todo == _NEWTON:
+            row.data = (pairs, parts, i)
     while live:
         if ended:
             for i, converged in ended:
                 row = live[i]
-                for out, value in zip(result, (a.params[i], row.energy, row.iterations,
+                for out, value in zip(result, (x[i], row.energy, row.iterations,
                                                converged, row.evaluations)):
                     out[row.start] = value
             stay = np.delete(np.arange(len(live)), [i for i, _ in ended])
             live = [live[i] for i in stay]
-            a.keep(stay)
+            x, grad = _take(x, stay), _take(grad, stay)
             ended = []
             continue
-        tried, bb, seen = [], [], []  # Newton trials, BB steps, fresh BB steps after a first one
-        for i, row in enumerate(live):
-            if row.todo == _NEWTON:
-                tried.append(i)
-                continue
-            bb.append(i)
-            if row.todo == _BB:
-                if row.iterations:
-                    seen.append(i)
-                else:
-                    row.step = min(max(row.step * 2.0, 1e-18), 1e6)
-        if tried:
-            at = np.array(tried)
-            a.trial[at] = _newton_trial(target, *_take((a.params, a.pairs, a.grad, a.parts), at))
-        if seen:
-            # Barzilai-Borwein trial steps, safeguarded by the Armijo test below
-            at = np.array(seen)
-            s = _take(a.params, at) - _take(a.prev_params, at)
-            y = _take(a.grad, at) - _take(a.prev_grad, at)
-            for i, sy, ss in zip(seen, _row_dots(s, y), _row_dots(s, s)):
-                row = live[i]
-                row.step = min(max(ss / sy if sy > 0 else row.step * 2.0, 1e-18), 1e6)
-        if len(bb) == len(live):
-            step = np.array([row.step for row in live])
-            a.trial = _retract(target, a.params - step[:, None] * a.grad)
-        elif bb:
-            at = np.array(bb)
-            step = np.array([live[i].step for i in bb])
-            a.trial[at] = _retract(target, a.params[at] - step[:, None] * a.grad[at])
-        trial_energy, trial_pairs = _evaluate(target, a.trial)
-        moved = []
-        for i, (row, value) in enumerate(zip(live, trial_energy.tolist())):
+        # the rows this round moves: Newton trials wait until half the rows are due one
+        due = [i for i, row in enumerate(live) if row.todo == _NEWTON]
+        if 2 * len(due) < len(live):
+            go = [i for i, row in enumerate(live) if row.todo != _NEWTON]
+            due = []
+        else:
+            go = range(len(live))
+        at = None if len(go) == len(live) else np.array(go)
+        xs, gs = _take(x, at), _take(grad, at)
+        if len(due) == len(live):
+            pairs, parts = _newton_data(live)
+            trial = _newton_trial(target, x, pairs, grad, parts)
+        else:  # BB trials, a row due a Newton trial taking its own in their place
+            step = np.array([live[i].bb_step() for i in go])
+            trial = _retract(target, xs - step[:, None] * gs)
+            if due:
+                at = np.array(due)
+                pairs, parts = _newton_data([live[i] for i in due])
+                trial[at] = _newton_trial(target, _take(x, at), pairs, _take(grad, at), parts)
+        trial_energy, trial_pairs = _evaluate(target, trial)
+        values = trial_energy.tolist()
+        moved = []  # positions in go
+        for j, value in enumerate(values):
+            i = go[j]
+            row = live[i]
             if row.todo == _NEWTON:
                 if value <= row.energy + row.slack:
                     row.evaluations += 3  # the Hessian, the energy and the gradient
-                    moved.append(i)
+                    moved.append(j)
                 else:
                     row.evaluations += 2
                     row.refuse()
             elif value <= row.energy - 1e-4 * row.step * row.gnorm2:  # Armijo
                 row.evaluations += 2
-                moved.append(i)
+                moved.append(j)
             else:
                 row.evaluations += 1
                 row.step *= 0.5
@@ -644,43 +662,39 @@ def descend(target: TargetSet, params: np.ndarray, budget: int,
                     ended.append((i, True))
         if not moved:
             continue
-        at = np.array(moved)
-        new_grad, new_parts = _gradient_parts(target, *_take((a.trial, trial_pairs), at))
-        kept = []
-        for j, (i, value) in enumerate(zip(moved, _row_dots(new_grad, new_grad))):
-            row = live[i]
-            if row.todo == _NEWTON and not value <= 0.25 * row.gnorm2:
+        at = None if len(moved) == len(go) else np.array(moved)
+        new_params, new_pairs = _take(trial, at), _take(trial_pairs, at)
+        new_grad, new_parts = _gradient_parts(target, new_params, new_pairs)
+        # the BB history of the step: s = x_new - x, y = g_new - g
+        s = new_params - _take(xs, at)
+        y = new_grad - _take(gs, at)
+        kept = []  # positions in moved
+        for q, (j, g2, sy, ss) in enumerate(zip(moved, _row_dots(new_grad, new_grad),
+                                                _row_dots(s, y), _row_dots(s, s))):
+            row = live[go[j]]
+            if row.todo == _NEWTON and not g2 <= 0.25 * row.gnorm2:
                 row.refuse()
                 continue
-            kept.append(j)
-            energy = float(trial_energy[i])
+            kept.append(q)
+            energy = values[j]
             row.stalls = row.stalls + 1 if row.energy - energy <= row.slack else 0
-            row.energy, row.gnorm2 = energy, value
+            row.energy, row.gnorm2, row.sy, row.ss = energy, g2, sy, ss
             row.iterations += 1
             if row.trace is not None:
                 row.trace.append(energy)
             converged = row.begin(budget, grad_tol)
             if converged is not None:
-                ended.append((i, converged))
-        if not newton:
-            new_parts = ()
+                ended.append((go[j], converged))
+            # the pair data serve only the Newton trial of a row due one next
+            row.data = (new_pairs, new_parts, q) if row.todo == _NEWTON else None
         if len(kept) == len(live):
-            a.prev_params, a.params, a.trial = a.params, a.trial, a.prev_params
-            a.prev_grad, a.grad, a.pairs, a.parts = a.grad, new_grad, trial_pairs, new_parts
+            x, grad = new_params, new_grad
         elif kept:
-            kept = np.array(kept)
-            at = at[kept]
-            a.prev_params[at], a.prev_grad[at] = a.params[at], a.grad[at]
-            a.params[at] = a.trial[at]
-            a.grad[at] = new_grad[kept]
-            # the pair arrays serve only the Hessian of the rows that try Newton next
-            newton_next = [live[i].todo == _NEWTON for i in at.tolist()]
-            if any(newton_next):
-                at, kept = at[newton_next], kept[newton_next]
-                for old, new in zip(a.pairs, trial_pairs):
-                    old[at] = new[at]
-                for old, new in zip(a.parts, new_parts):
-                    old[at] = new[kept]
+            rows = np.array([go[moved[q]] for q in kept])
+            if len(kept) < len(moved):
+                kept = np.array(kept)
+                new_params, new_grad = _take(new_params, kept), _take(new_grad, kept)
+            x[rows], grad[rows] = new_params, new_grad
     if one:
         params, energy, iterations, converged, evaluations = result
         return (params[0], float(energy[0]), int(iterations[0]), bool(converged[0]),

@@ -691,6 +691,21 @@ class TestBatchEqualsSerial:
         assert p.tobytes() == batch[0][0].tobytes() and isinstance(e, float)
         assert (e, it, c, ev) == (batch[1][0], batch[2][0], batch[3][0], batch[4][0])
 
+    def test_newton_trials_share_a_stacked_solve(self, monkeypatch):
+        # rows due a Newton trial wait until they are half of the batch, so the
+        # batch takes the trials of its one-start descents in fewer calls
+        rows = []
+        trial = fekete._newton_trial
+        monkeypatch.setattr(fekete, "_newton_trial", lambda target, params, *a:
+                            rows.append(len(params)) or trial(target, params, *a))
+        starts = _starts(Sphere(), 8, 1, 8)
+        for start in starts:
+            descend(Sphere(), start, 4000)
+        alone = len(rows)
+        rows.clear()
+        descend(Sphere(), starts, 4000)
+        assert sum(rows) == alone and len(rows) < alone / 2 and max(rows) >= 4
+
     def test_minimize_equals_serial_restarts(self):
         # the winner rule over restarts, evaluations summed over all of them
         for target, n in ((Sphere(), 8), (RealLine(), 16), (Interval(2.0), 8)):
@@ -743,7 +758,10 @@ class TestLayoutGuard:
             assert self.same(_tangent_basis(u[k].copy()), want[k])
         assert self.same(_tangent_basis(np.asfortranarray(u)), want)
 
-    def test_row_dots_are_the_one_dimensional_dots(self):
+    @pytest.mark.parametrize("vecdot", [True, False], ids=["vecdot", "matmul"])
+    def test_row_dots_are_the_one_dimensional_dots(self, vecdot, monkeypatch):
+        if not vecdot:  # numpy before 2.0 has no vecdot
+            monkeypatch.setattr(fekete, "_vecdot", None)
         rng = np.random.default_rng(9)
         for p in (1, 7, 16, 33, 64, 96, 1000):
             a, b = rng.standard_normal((2, 5, p))
