@@ -608,6 +608,9 @@ def descend(target: TargetSet, params: np.ndarray, budget: int,
         elif row.todo == _NEWTON:
             row.data = (pairs, parts, i)
     while live:
+        # the rows due a Newton trial hold the pair data they need: drop the
+        # rest before this round's energy call (tens of MB at MAX_POINTS)
+        pairs = parts = trial_pairs = new_pairs = new_parts = None
         if ended:
             for i, converged in ended:
                 row = live[i]
@@ -664,6 +667,7 @@ def descend(target: TargetSet, params: np.ndarray, budget: int,
             continue
         at = None if len(moved) == len(go) else np.array(moved)
         new_params, new_pairs = _take(trial, at), _take(trial_pairs, at)
+        trial_pairs = None
         new_grad, new_parts = _gradient_parts(target, new_params, new_pairs)
         # the BB history of the step: s = x_new - x, y = g_new - g
         s = new_params - _take(xs, at)
