@@ -476,13 +476,6 @@ def _newton_data(rows: list) -> tuple[tuple, tuple]:
     """The pair data and gradient arrays at the points of ``rows``, stacked.
     Each row holds them as ``data``: the arrays of the batch that evaluated
     its point, and its index in them."""
-    pairs, parts, _ = rows[0].data
-    if all(row.data[0] is pairs for row in rows):
-        at = [row.data[2] for row in rows]
-        if at == list(range(len(pairs[0]))):
-            return pairs, parts
-        at = np.array(at)
-        return _take(pairs, at), _take(parts, at)
     return tuple(tuple(np.stack([row.data[f][a][row.data[2]] for row in rows])
                        for a in range(len(rows[0].data[f]))) for f in (0, 1))
 
