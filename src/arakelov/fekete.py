@@ -41,13 +41,14 @@ is taken: rows normalised on the sphere, unchanged on the line and intervals
 
 The two energy kernels (sphere, real line) evaluate the chordal kernel on the
 n(n-1)/2 point pairs only (their indices cached per n), and return the pair
-data their gradient and Hessian reuse at the same point: the pair sines and
-their angles on the line, and on the sphere the unit vectors, the pair
-differences and their squared distances, so the sphere gradient and Hessian
-divide and scatter pairs instead of forming N x N differences.  The interval
-gradient returns the line gradient in sin t for its Hessian.  An accepted
-step keeps the energy its test computed and the pair data it left, so an
-iteration evaluates the gradient once and the energy only at trial points.
+data their gradient and Hessian reuse at the same point: the pair angle
+differences and their sines on the line, and on the sphere the unit vectors,
+the pair differences and their squared distances, so the sphere gradient
+and Hessian divide and scatter pairs instead of forming N x N differences.
+The interval gradient returns the line gradient in sin t for its Hessian.
+An accepted step keeps the energy its test computed and the pair data it
+left, so an iteration evaluates the gradient once and the energy only at
+trial points.
 
 ``minimize`` hands ``descend`` all its restarts as one (R, ...) stack, and
 every kernel takes such a stack, a 1-D point being the batch of one.  Each
