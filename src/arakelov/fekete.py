@@ -45,7 +45,9 @@ data their gradient and Hessian reuse at the same point: the pair angle
 differences and their sines on the line, and on the sphere the unit vectors,
 the pair differences and their squared distances, so the sphere gradient
 and Hessian divide and scatter pairs instead of forming N x N differences.
-The interval gradient returns the line gradient in sin t for its Hessian.
+The gradients sum their scattered rows a block at a time (``_row_sums``),
+so no N x N array is held at large N.  The interval gradient returns the
+line gradient in sin t for its Hessian.
 An accepted step keeps the energy its test computed and the pair data it
 left, so an iteration evaluates the gradient once and the energy only at
 trial points.
@@ -130,14 +132,14 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=64)
 def _pair_sources(n: int) -> np.ndarray:
-    """For each entry of a flat n x n array, its source in the concatenation
-    of upper pair values, lower ones and a zero: entry i*n + j reads pair
-    (i, j) for i < j, its mirror for i > j, and the zero on the diagonal."""
+    """For each entry of an n x n array, its source in the concatenation of
+    upper pair values, lower ones and a zero: entry (i, j) reads pair (i, j)
+    for i < j, its mirror for i > j, and the zero on the diagonal."""
     i, j = _pairs(n)
     m = len(i)
-    at = np.full(n * n, 2 * m)
-    at[i * n + j] = np.arange(m)
-    at[j * n + i] = np.arange(m, 2 * m)
+    at = np.full((n, n), 2 * m)
+    at[i, j] = np.arange(m)
+    at[j, i] = np.arange(m, 2 * m)
     at.flags.writeable = False
     return at
 
@@ -204,7 +206,22 @@ def _scatter(n: int, values: np.ndarray) -> np.ndarray:
     """The n x n arrays holding the upper values of a ``_pair_values`` buffer
     at the pairs (i, j), i < j, of ``_pairs``, its lower ones at their mirrors
     (j, i), and zeros on the diagonal."""
-    return values.take(_pair_sources(n), axis=-1).reshape(values.shape[:-1] + (n, n))
+    return values.take(_pair_sources(n), axis=-1)
+
+
+# _row_sums gathers at most this many elements of its n x n arrays at a time
+_SUM_BLOCK = 1 << 18
+
+
+def _row_sums(n: int, values: np.ndarray) -> np.ndarray:
+    """Row sums of the n x n arrays ``_scatter(n, values)`` builds, gathered
+    a block of rows at a time, so that no whole n x n array is held at large
+    n; each row sums as it does in the whole array."""
+    sources = _pair_sources(n)
+    rows = max(1, _SUM_BLOCK // (values.size // values.shape[-1] * n))
+    sums = [np.add.reduce(values.take(sources[first:first + rows], axis=-1), axis=-1)
+            for first in range(0, n, rows)]
+    return sums[0] if len(sums) == 1 else np.concatenate(sums, axis=-1)
 
 
 def _gradient_parts(target: TargetSet, params: np.ndarray,
@@ -224,7 +241,7 @@ def _gradient_parts(target: TargetSet, params: np.ndarray,
         c /= s
         # cos is even and sin odd, so cot(p_j - p_i) is exactly -cot(p_i - p_j)
         np.negative(c, out=mirror)
-        return -2.0 * _pair_scale(n) * np.add.reduce(_scatter(n, values), axis=-1), ()
+        return -2.0 * _pair_scale(n) * _row_sums(n, values), ()
     if isinstance(target, Sphere):
         u, norms, diff, d2 = pairs
         n = norms.shape[-1]
@@ -233,7 +250,7 @@ def _gradient_parts(target: TargetSet, params: np.ndarray,
         values, q, mirror = _pair_values(diff)
         np.divide(diff, d2[..., None, :], out=q)
         np.negative(q, out=mirror)
-        f = -2.0 * _pair_scale(n) * np.add.reduce(_scatter(n, values), axis=-1)
+        f = -2.0 * _pair_scale(n) * _row_sums(n, values)
         # the energy sees only x/|x|: project onto the tangent plane at u, scale by 1/|x|.
         # The first projection leaves a radial rounding of about eps |f|, large
         # against a small tangent part; the second leaves about eps |g|.
@@ -278,8 +295,6 @@ def _hessian(target: TargetSet, params: np.ndarray, pairs: tuple | None = None,
         h = _scatter(n, values)
         _diagonal(h)[...] = -np.add.reduce(h, axis=-1)
         return h
-    if parts is None:
-        parts = _gradient_parts(target, params, pairs)[1]
     if isinstance(target, Sphere):
         u, norms, _, d2 = pairs
         n = norms.shape[-1]
@@ -315,6 +330,8 @@ def _hessian(target: TargetSet, params: np.ndarray, pairs: tuple | None = None,
     if isinstance(target, Interval):
         # as in _gradient, then the chain rule through sin t: J H J with J = cos t,
         # plus (sin t)'' = -sin t times the gradient in sin t on the diagonal
+        if parts is None:
+            parts = _gradient_parts(target, params, pairs)[1]
         d, s = pairs
         jac = np.cos(params)
         h = (_hessian(RealLine(), params, (d, s / math.atan(target.r)))
@@ -481,16 +498,11 @@ def _newton_data(rows: list) -> tuple[tuple, tuple]:
                        for a in range(len(rows[0].data[f]))) for f in (0, 1))
 
 
-_vecdot = getattr(np, "vecdot", None)  # numpy >= 2
-
-
 def _row_dots(a: np.ndarray, b: np.ndarray) -> list[float]:
     """a_k . b_k for each row k of two (R, P) batches, with the bits of
-    ``np.dot`` on the 1-D rows: ``np.vecdot``, and before numpy 2 a stack of
-    (1, P) @ (P, 1) products, calls the same BLAS ddot row by row."""
-    if _vecdot is None:
-        return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0].tolist()
-    return _vecdot(a, b).tolist()
+    ``np.dot`` on the 1-D rows: a stack of (1, P) @ (P, 1) products calls
+    the same BLAS ddot row by row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0].tolist()
 
 
 # what a row does next: form a Newton trial, take a fresh BB step, or

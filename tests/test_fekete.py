@@ -758,10 +758,7 @@ class TestLayoutGuard:
             assert self.same(_tangent_basis(u[k].copy()), want[k])
         assert self.same(_tangent_basis(np.asfortranarray(u)), want)
 
-    @pytest.mark.parametrize("vecdot", [True, False], ids=["vecdot", "matmul"])
-    def test_row_dots_are_the_one_dimensional_dots(self, vecdot, monkeypatch):
-        if not vecdot:  # numpy before 2.0 has no vecdot
-            monkeypatch.setattr(fekete, "_vecdot", None)
+    def test_row_dots_are_the_one_dimensional_dots(self):
         rng = np.random.default_rng(9)
         for p in (1, 7, 16, 33, 64, 96, 1000):
             a, b = rng.standard_normal((2, 5, p))
@@ -781,19 +778,27 @@ class TestChunks:
         assert config.to_json_dict() == minimize(RealLine(), 8, seed=1).to_json_dict()
 
     def test_peak_memory_does_not_grow_with_restarts(self):
-        # at MAX_POINTS a chunk holds one restart, so eight restarts peak as one does
+        # at MAX_POINTS a chunk holds one restart, so eight restarts peak as one
+        # does; and one descent there holds no more than it did before restarts
+        # were batched: 72 MiB above the interpreter, 18 arrays of its pairs
         script = ("import resource, sys\n"
                   "from arakelov.equilibrium import Sphere\n"
                   "from arakelov.fekete import minimize\n"
+                  "minimize(Sphere(), 8, budget=3, restarts=1)\n"
+                  "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
                   "minimize(Sphere(), 1024, budget=3, restarts=int(sys.argv[1]))\n"
                   "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
         src = str(Path(fekete.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))))
-        peaks = [int(subprocess.run([sys.executable, "-c", script, str(restarts)], env=env,
-                                    capture_output=True, check=True, timeout=300).stdout)
-                 for restarts in (1, 8)]
-        assert peaks[1] <= 1.1 * peaks[0], peaks
+        runs = [[int(kib) for kib in subprocess.run(
+                    [sys.executable, "-c", script, str(restarts)], env=env,
+                    capture_output=True, check=True, timeout=300).stdout.split()]
+                for restarts in (1, 8)]
+        (base_1, peak_1), (base_8, peak_8) = runs
+        assert peak_8 <= 1.1 * peak_1, runs
+        pair_array_kib = 8 * (fekete.MAX_POINTS * (fekete.MAX_POINTS - 1) // 2) / 1024
+        assert max(peak_1 - base_1, peak_8 - base_8) <= 18 * pair_array_kib, runs
 
 
 def test_a_singular_hessian_keeps_its_row_in_place(monkeypatch):
