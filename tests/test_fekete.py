@@ -758,6 +758,15 @@ class TestLayoutGuard:
             assert self.same(_tangent_basis(u[k].copy()), want[k])
         assert self.same(_tangent_basis(np.asfortranarray(u)), want)
 
+    def test_row_sums_in_blocks_are_the_whole_sums(self, monkeypatch):
+        # 10 x 10 arrays for 2 x 3 leading rows: blocks of 1, 3 (the last one
+        # short), 7 and all 10 rows
+        values = np.random.default_rng(3).standard_normal((2, 3, 2 * 45 + 1))
+        want = np.add.reduce(fekete._scatter(10, values), axis=-1)
+        for block in (1, 180, 420, 1 << 18):
+            monkeypatch.setattr(fekete, "_SUM_BLOCK", block)
+            assert self.same(fekete._row_sums(10, values), want)
+
     def test_row_dots_are_the_one_dimensional_dots(self):
         rng = np.random.default_rng(9)
         for p in (1, 7, 16, 33, 64, 96, 1000):
