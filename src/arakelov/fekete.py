@@ -277,9 +277,9 @@ def _hessian(target: TargetSet, params: np.ndarray, pairs: tuple | None = None,
     """Dense Hessian of ``_energy`` in the Newton coordinates: ``params`` on the
     line and intervals, on the sphere the 2N coordinates (all e1, then all e2)
     of each point's ``_tangent_basis``.  It takes the pair data ``_evaluate``
-    returned at ``params``, the arrays ``_gradient_parts`` returned there and,
-    on the sphere, the tangent basis at the unit vectors; each is computed
-    here if not given."""
+    returned at ``params``, on an interval the arrays ``_gradient_parts``
+    returned there, and on the sphere the tangent basis at the unit vectors;
+    each is computed here if not given."""
     params = np.ascontiguousarray(params)
     if pairs is None:
         pairs = _evaluate(target, params)[1]
