@@ -4,7 +4,8 @@ Polynomials over F_p are ascending coefficient lists with entries in
 [0, p) and a nonzero last entry; ``[]`` is the zero polynomial.
 :func:`fp_trim` turns any integer coefficient list into that form.  All
 primality testing, prime enumeration and integer factoring goes through
-this module, and it is the only one that imports sympy.
+this module.  Primes are enumerated by one sieve (``prime_range``), and
+sympy, which no other module imports, serves only the primality test.
 """
 from __future__ import annotations
 
@@ -24,11 +25,6 @@ def require_prime(p) -> int:
     if not sympy.isprime(p):
         raise ValueError(f"{p} is not prime")
     return int(p)
-
-
-def next_prime(n: int) -> int:
-    """Smallest prime greater than n."""
-    return int(sympy.nextprime(n))
 
 
 def prime_range(lo: int, hi: int) -> list[int]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import next_prime, prime_range, require_prime
+from .arith import prime_range, require_prime
 from .equilibrium import Interval, analytic_energy
 from .heights import HALF_LOG2
 from .quadrature import QuadratureResult, adaptive_gauss_legendre
@@ -109,13 +109,12 @@ def single_place_beaters() -> tuple[int, ...]:
     The terms decrease for p >= 3, so enumeration stops at the first failure.
     """
     beaters = []
-    p = 2
-    while True:
+    for p in prime_range(2, 100):
         if 0.25 + 0.5 * nonarch_term(p) > HALF_LOG2:
             beaters.append(p)
         elif p >= 3:
             return tuple(beaters)
-        p = next_prime(p)
+    raise ArithmeticError("every single-place bound below 100 beats (1/2)log 2")
 
 
 @dataclass(frozen=True)
@@ -145,13 +144,12 @@ def count_beating_pairs() -> PairCensus:
     threshold = 2.0 * (HALF_LOG2 - 0.25)
     residual = threshold - nonarch_term(17)
     cutoff = 17
-    q = 17
-    while True:
-        q = next_prime(q)
-        if nonarch_term(q) > residual:
-            cutoff = q
-        else:
+    for q in prime_range(19, 1000):
+        if not nonarch_term(q) > residual:
             break
+        cutoff = q
+    else:
+        raise ArithmeticError("the pair cutoff is not below 1000")
     primes = prime_range(17, cutoff + 1)
     pairs = []
     for i, p in enumerate(primes):

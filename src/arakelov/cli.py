@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import bounds as bounds_mod
 from . import equilibrium as eq
 from . import fekete, verification
-from .heights import height_report, nonarch_energy_sum, arch_energy_sum
+from .heights import DEFAULT_TOL, height_report, nonarch_energy_sum, arch_energy_sum
 from .polynomials import (AlgebraicPoint, PrimitivePolynomial,
                           normalize_coefficients, parse_polynomial_with_notices)
 from .quadrature import QuadratureError
@@ -107,7 +107,7 @@ def _point_from_args(args) -> tuple[AlgebraicPoint, list[str]]:
 
 def _cmd_height(args) -> Record:
     point, notices = _point_from_args(args)
-    tol = args.tol if args.tol is not None else 1e-12
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
     report = height_report(point, tol=tol)
     unit = LOG2 if args.bits else 1.0
     payload = report.to_json_dict()
@@ -149,7 +149,7 @@ def _cmd_local(args) -> Record:
     point, _ = _point_from_args(args)
     if point.poly is None or point.is_zero:
         raise UsageError("local energies need a point of degree >= 2")
-    tol = args.tol if args.tol is not None else 1e-12
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
     if args.place in ("inf", "infinity", "oo"):
         entry = arch_energy_sum(point.poly, tol=tol)
     else:

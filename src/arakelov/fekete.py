@@ -56,16 +56,17 @@ trial points.
 every kernel takes such a stack, a 1-D point being the batch of one.  Each
 round of the batch evaluates one trial point of every row it moves in one
 energy call, and the gradient at the trials that pass their test in one
-more.  Rows due a Newton trial wait until they are at least half of the
-batch, and then share one stacked Hessian solve.  Each row keeps its own
-step, BB history, Newton threshold and counts, and a row that converges,
-stalls, ends numerically stationary or spends its budget leaves the
-batch.  The kernels sum along C-ordered rows (a batch of another layout
-is copied first) and the per-row dot products are ddot calls as ``np.dot``
-makes them, so every restart takes the steps of its own one-start descent,
-bit for bit.  The restarts go in chunks of at most ``_CHUNK_PAIRS`` point
-pairs, those of one descent at ``MAX_POINTS``, so memory does not grow with
-the number of restarts.
+more.  A round moves every row not due a Newton trial by a BB step; once
+every row is due one, the next round gives all of them their Newton
+trials, with one stacked Hessian solve.  Each row keeps its own step, BB
+history, Newton threshold and counts, and a row that converges, stalls,
+ends numerically stationary or spends its budget leaves the batch.  The
+kernels sum along C-ordered rows (a batch of another layout is copied
+first) and the per-row dot products are ddot calls as ``np.dot`` makes
+them, so every restart takes the steps of its own one-start descent, bit
+for bit.  The restarts go in chunks of at most ``_CHUNK_PAIRS`` point
+pairs, those of one descent at ``MAX_POINTS``, so memory does not grow
+with the number of restarts.
 """
 from __future__ import annotations
 
@@ -513,8 +514,8 @@ _NEWTON, _BB, _BACK = range(3)
 class _Row:
     """The scalars of one descending row, Python floats as a one-start
     descent keeps them; ``sy`` and ``ss`` are s.y and s.s of its last step,
-    and ``data`` locates the pair data at its point while it is due a
-    Newton trial."""
+    and ``data`` locates the pair data at its point while it waits for its
+    Newton trial: rows become due in different rounds."""
 
     __slots__ = ("start", "energy", "gnorm2", "slack", "step", "newton_below", "stalls",
                  "iterations", "evaluations", "todo", "trace", "sy", "ss", "data")
@@ -573,10 +574,10 @@ def descend(target: TargetSet, params: np.ndarray, budget: int,
     A stack descends as one batch, and a start is the batch of one.  Each
     round takes the energy at one trial point of every row it moves in one
     kernel call, and the gradient at every trial that passes its test in
-    another.  A round moves the rows that take BB steps (the first trial of
-    an iteration or a backtracked one); rows due a Newton trial wait until
-    they are at least half of the batch, and then take their trials in the
-    same round, with one stacked solve.
+    another.  A round moves every row that takes a BB step (the first trial
+    of an iteration or a backtracked one) while rows due a Newton trial
+    wait; once every row is due one, a round gives all of them their
+    trials, with one stacked solve.
     Each row keeps its own step, BB history, Newton threshold, stall,
     iteration and evaluation counts and budget, and leaves the batch once it
     converges, stalls, ends numerically stationary or spends the budget.
@@ -628,25 +629,17 @@ def descend(target: TargetSet, params: np.ndarray, budget: int,
             x, grad = _take(x, stay), _take(grad, stay)
             ended = []
             continue
-        # the rows this round moves: Newton trials wait until half the rows are due one
-        due = [i for i, row in enumerate(live) if row.todo == _NEWTON]
-        if 2 * len(due) < len(live):
-            go = [i for i, row in enumerate(live) if row.todo != _NEWTON]
-            due = []
-        else:
-            go = range(len(live))
+        # the rows this round moves: BB trials for every row not due a Newton
+        # trial, and once every row is due one, the Newton trials of all of them
+        go = [i for i, row in enumerate(live) if row.todo != _NEWTON] or range(len(live))
         at = None if len(go) == len(live) else np.array(go)
         xs, gs = _take(x, at), _take(grad, at)
-        if len(due) == len(live):
+        if live[go[0]].todo == _NEWTON:
             pairs, parts = _newton_data(live)
             trial = _newton_trial(target, x, pairs, grad, parts)
-        else:  # BB trials, a row due a Newton trial taking its own in their place
+        else:
             step = np.array([live[i].bb_step() for i in go])
             trial = _retract(target, xs - step[:, None] * gs)
-            if due:
-                at = np.array(due)
-                pairs, parts = _newton_data([live[i] for i in due])
-                trial[at] = _newton_trial(target, _take(x, at), pairs, _take(grad, at), parts)
         trial_energy, trial_pairs = _evaluate(target, trial)
         values = trial_energy.tolist()
         moved = []  # positions in go

@@ -201,7 +201,7 @@ def height_report(point, tol: float = DEFAULT_TOL,
         factorization, cofactor = factor_positive(disc)
         for p in sorted(factorization):
             v = factorization[p]
-            entries.append(LocalEnergy(Place.finite(p), v * math.log(p) * scale,
+            entries.append(LocalEnergy(Place(p), v * math.log(p) * scale,
                                        "exact-valuation", 0.0))
         if cofactor > 1:
             entries.append(LocalEnergy(Place(cofactor), math.log(cofactor) * scale,

@@ -122,17 +122,6 @@ def _package(centers, radii) -> CertifiedComplexRoots:
     )
 
 
-def _accept(centers, radii, tol) -> bool:
-    n = len(centers)
-    if any(not (r <= tol) for r in radii):
-        return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(centers[i] - centers[j]) <= radii[i] + radii[j]:
-                return False
-    return True
-
-
 def _starts(coeffs: tuple[int, ...]) -> list[tuple[float | None, float]]:
     """(log radius, angle) of each Aberth start, from the Newton polygon.
 
@@ -222,29 +211,34 @@ def _polished():
 
 def _certify_exact(coeffs: tuple[int, ...], centers: list[complex],
                    radii: list[float], tol: float) -> bool:
-    """Second rung, in place: exact sweeps over every root whose disk is above
-    ``tol`` or meets another disk; True when all disks end certified.  A root
+    """Second rung, in place: exact sweeps over every root whose disk
+    ``_isolated`` rejects, above ``tol`` or meeting another disk; True when
+    none is left, or when every disk is isolated after the sweeps.  A root
     stops when its step leaves its centre unchanged or is below eps |z| once
     its disk is isolated (eps |z| / 16 before, so that sub-ulp steps still
     part a close pair).
     """
-    if _accept(centers, radii, tol):
+    active = [i for i in range(len(centers)) if not _isolated(i, centers, radii, tol)]
+    if not active:
         return True
 
     def still(i: int, z: complex, step: complex) -> bool:
         scale = 1.0 if _isolated(i, centers, radii, tol) else 0.0625
         return z - step == z or abs(step) <= _EPS * abs(z) * scale
 
-    active = [i for i in range(len(centers)) if not _isolated(i, centers, radii, tol)]
     _sweeps(centers, radii, active, lambda z: _exact_step(coeffs, z), still)
-    return _accept(centers, radii, tol)
+    return all(_isolated(i, centers, radii, tol) for i in range(len(centers)))
 
 
 def _isolated(i: int, centers: list[complex], radii: list[float], tol: float) -> bool:
     """Whether disk i is certified: at most ``tol`` and disjoint from the others."""
     r, z = radii[i], centers[i]
-    return r <= tol and all(abs(z - w) > r + radii[j]
-                            for j, w in enumerate(centers) if j != i)
+    if not r <= tol:
+        return False
+    for j, w in enumerate(centers):
+        if j != i and not abs(z - w) > r + radii[j]:
+            return False
+    return True
 
 
 def _double_step(coeffs: tuple[int, ...]):

@@ -3,6 +3,7 @@ import math
 import pytest
 import sympy
 
+from arakelov import bounds
 from arakelov.bounds import (PlaceSet, chebyshev_limit_integral,
                              count_beating_pairs, lower_bound,
                              lower_bound_interval, nonarch_term,
@@ -122,6 +123,20 @@ class TestCensuses:
         assert all(13 < p < q <= census.cutoff_prime for p, q in census.pairs)
         for p, q in census.pairs:
             assert 0.25 + 0.5 * (nonarch_term(p) + nonarch_term(q)) > HALF_LOG2
+
+    def test_walks_stop_inside_their_sieve_ranges(self, monkeypatch):
+        # each census walks a fixed sieve range and stops inside it (the pair
+        # cutoff at 199); a range cut short of the stop raises, it does not
+        # return a short census
+        assert count_beating_pairs().cutoff_prime == 199
+        sieve = bounds.prime_range
+        monkeypatch.setattr(bounds, "prime_range", lambda lo, hi: sieve(lo, min(hi, 200)))
+        assert single_place_beaters() == (2, 3, 5, 7, 11, 13)
+        with pytest.raises(ArithmeticError):
+            count_beating_pairs()
+        monkeypatch.setattr(bounds, "prime_range", lambda lo, hi: sieve(lo, min(hi, 17)))
+        with pytest.raises(ArithmeticError):
+            single_place_beaters()
 
     def test_census_csv_has_witness_rows(self):
         census = count_beating_pairs()

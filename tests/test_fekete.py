@@ -692,7 +692,7 @@ class TestBatchEqualsSerial:
         assert (e, it, c, ev) == (batch[1][0], batch[2][0], batch[3][0], batch[4][0])
 
     def test_newton_trials_share_a_stacked_solve(self, monkeypatch):
-        # rows due a Newton trial wait until they are half of the batch, so the
+        # rows due a Newton trial wait until every live row is due one, so the
         # batch takes the trials of its one-start descents in fewer calls
         rows = []
         trial = fekete._newton_trial
@@ -705,6 +705,21 @@ class TestBatchEqualsSerial:
         rows.clear()
         descend(Sphere(), starts, 4000)
         assert sum(rows) == alone and len(rows) < alone / 2 and max(rows) >= 4
+
+    def test_a_newton_round_takes_the_whole_batch(self, monkeypatch):
+        # the energy call after a Newton trial evaluates exactly its rows: no
+        # BB trial shares a round with Newton trials
+        calls = []
+        trial, evaluate = fekete._newton_trial, fekete._evaluate
+        monkeypatch.setattr(fekete, "_newton_trial", lambda target, params, *a:
+                            calls.append(("newton", len(params))) or trial(target, params, *a))
+        monkeypatch.setattr(fekete, "_evaluate", lambda target, params:
+                            calls.append(("energy", len(params))) or evaluate(target, params))
+        descend(Sphere(), _starts(Sphere(), 8, 1, 8), 4000)
+        newton = [k for k, (kind, _) in enumerate(calls) if kind == "newton"]
+        assert newton
+        for k in newton:
+            assert calls[k + 1] == ("energy", calls[k][1])
 
     def test_minimize_equals_serial_restarts(self):
         # the winner rule over restarts, evaluations summed over all of them
