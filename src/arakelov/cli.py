@@ -50,13 +50,24 @@ class Record:
         return "\n".join(lines) + "\n"
 
 
+def _digits(text: str) -> int:
+    """The --digits argument: an int of at least 0."""
+    try:
+        digits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if digits < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {digits}")
+    return digits
+
+
 def _add_common(sub: argparse.ArgumentParser, func, *reads: str) -> None:
     """The command's handler, --format and --output, and those of --digits,
     --tol and --seed that it reads: an option it would ignore is a usage error."""
     sub.set_defaults(func=func)
     sub.add_argument("--format", choices=("json", "csv", "text"), default="text")
     if "digits" in reads:
-        sub.add_argument("--digits", type=int, default=10)
+        sub.add_argument("--digits", type=_digits, default=10)
     sub.add_argument("--output", default=None, help="write output to this file")
     if "tol" in reads:
         sub.add_argument("--tol", type=float, default=None, help="tolerance override")

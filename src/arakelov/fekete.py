@@ -32,12 +32,11 @@ trial builds its tangent basis once, in closed form: e1 = e_k x u / |e_k x u|
 for the axis e_k of u's smallest component is a signed permutation of u's
 rows (a 3 x 3 table), and e2 = u x e1.  Its 2N x 2N Hessian is one
 (2, 2, N, N) array of stacked products, one (e_a, e_b) block each, turned
-into the matrix by one transpose and reshape.  Above
-``_NEWTON_MAX_DIM`` Newton coordinates the BB steps run alone, and
-``minimize`` refuses more than ``MAX_POINTS`` points before any array is
-allocated.  Each trial point is retracted onto its chart before its energy
-is taken: rows normalised on the sphere, unchanged on the line and intervals
-(Wen-Yin, Math. Program. 2013).
+into the matrix by one transpose and reshape.  ``minimize`` refuses more
+than ``MAX_POINTS`` points before any array is allocated, so a Hessian has
+at most 256 Newton coordinates.  Each trial point is retracted onto its
+chart before its energy is taken: rows normalised on the sphere, unchanged
+on the line and intervals (Wen-Yin, Math. Program. 2013).
 
 The two energy kernels (sphere, real line) evaluate the chordal kernel on the
 n(n-1)/2 point pairs only (their indices cached per n), and return the pair
@@ -45,9 +44,7 @@ data their gradient and Hessian reuse at the same point: the pair angle
 differences and their sines on the line, and on the sphere the unit vectors,
 the pair differences and their squared distances, so the sphere gradient
 and Hessian divide and scatter pairs instead of forming N x N differences.
-The gradients sum their scattered rows a block at a time (``_row_sums``),
-so no N x N array is held at large N.  The interval gradient returns the
-line gradient in sin t for its Hessian.
+The interval gradient returns the line gradient in sin t for its Hessian.
 An accepted step keeps the energy its test computed and the pair data it
 left, so an iteration evaluates the gradient once and the energy only at
 trial points.
@@ -65,8 +62,7 @@ kernels sum along C-ordered rows (a batch of another layout is copied
 first) and the per-row dot products are ddot calls as ``np.dot`` makes
 them, so every restart takes the steps of its own one-start descent, bit
 for bit.  The restarts go in chunks of at most ``_CHUNK_PAIRS`` point
-pairs, those of one descent at ``MAX_POINTS``, so memory does not grow
-with the number of restarts.
+pairs, so memory does not grow with the number of restarts.
 """
 from __future__ import annotations
 
@@ -108,15 +104,13 @@ class PointConfiguration:
 
 # Newton trials start below this gradient norm; BB steps alone do the rest
 _NEWTON_SWITCH = 1e-2
-# Newton trials only up to this many Newton coordinates (N on the line and
-# intervals, 2N on the sphere): each builds a dense (dim, dim) Hessian and
-# solves it in O(dim^3)
-_NEWTON_MAX_DIM = 256
-# point count beyond which descent is refused: the pair arrays grow as N^2
-MAX_POINTS = 4 * _NEWTON_MAX_DIM
-# restarts descend in chunks of at most this many pair elements, those of
-# one descent at MAX_POINTS
-_CHUNK_PAIRS = MAX_POINTS * (MAX_POINTS - 1) // 2
+# point count beyond which descent is refused, for its time rather than its
+# pair arrays: a default minimize (seed 1) at 128 points takes 0.1-0.2 s on
+# the line, 0.3 s on [-2, 2] and 3-5 s on the sphere in process time
+MAX_POINTS = 128
+# restarts descend in chunks of at most this many pair elements, so memory
+# does not grow with --restarts: 64 restarts of 128 points fill a chunk
+_CHUNK_PAIRS = 523_776
 
 
 def _pair_scale(n: int) -> float:
@@ -210,21 +204,6 @@ def _scatter(n: int, values: np.ndarray) -> np.ndarray:
     return values.take(_pair_sources(n), axis=-1)
 
 
-# _row_sums gathers at most this many elements of its n x n arrays at a time
-_SUM_BLOCK = 1 << 18
-
-
-def _row_sums(n: int, values: np.ndarray) -> np.ndarray:
-    """Row sums of the n x n arrays ``_scatter(n, values)`` builds, gathered
-    a block of rows at a time, so that no whole n x n array is held at large
-    n; each row sums as it does in the whole array."""
-    sources = _pair_sources(n)
-    rows = max(1, _SUM_BLOCK // (values.size // values.shape[-1] * n))
-    sums = [np.add.reduce(values.take(sources[first:first + rows], axis=-1), axis=-1)
-            for first in range(0, n, rows)]
-    return sums[0] if len(sums) == 1 else np.concatenate(sums, axis=-1)
-
-
 def _gradient_parts(target: TargetSet, params: np.ndarray,
                     pairs: tuple | None = None) -> tuple[np.ndarray, tuple]:
     """Gradient of ``_energy`` with respect to ``params``, from the pair data
@@ -242,7 +221,7 @@ def _gradient_parts(target: TargetSet, params: np.ndarray,
         c /= s
         # cos is even and sin odd, so cot(p_j - p_i) is exactly -cot(p_i - p_j)
         np.negative(c, out=mirror)
-        return -2.0 * _pair_scale(n) * _row_sums(n, values), ()
+        return -2.0 * _pair_scale(n) * np.add.reduce(_scatter(n, values), axis=-1), ()
     if isinstance(target, Sphere):
         u, norms, diff, d2 = pairs
         n = norms.shape[-1]
@@ -251,7 +230,7 @@ def _gradient_parts(target: TargetSet, params: np.ndarray,
         values, q, mirror = _pair_values(diff)
         np.divide(diff, d2[..., None, :], out=q)
         np.negative(q, out=mirror)
-        f = -2.0 * _pair_scale(n) * _row_sums(n, values)
+        f = -2.0 * _pair_scale(n) * np.add.reduce(_scatter(n, values), axis=-1)
         # the energy sees only x/|x|: project onto the tangent plane at u, scale by 1/|x|.
         # The first projection leaves a radial rounding of about eps |f|, large
         # against a small tangent part; the second leaves about eps |g|.
@@ -520,9 +499,9 @@ class _Row:
     __slots__ = ("start", "energy", "gnorm2", "slack", "step", "newton_below", "stalls",
                  "iterations", "evaluations", "todo", "trace", "sy", "ss", "data")
 
-    def __init__(self, start, energy, gnorm2, newton_below, trace):
+    def __init__(self, start, energy, gnorm2, trace):
         self.start, self.energy, self.gnorm2, self.trace = start, energy, gnorm2, trace
-        self.newton_below = newton_below
+        self.newton_below = _NEWTON_SWITCH
         self.step, self.stalls, self.iterations, self.evaluations = 1.0, 0, 0, 2
         self.data = None
 
@@ -563,11 +542,11 @@ def descend(target: TargetSet, params: np.ndarray, budget: int,
     counting every energy, gradient and Hessian evaluation.
 
     Each iteration takes one step.  Below a gradient norm of
-    ``_NEWTON_SWITCH`` (dimension at most ``_NEWTON_MAX_DIM``) it tries a
-    Newton step, kept if the energy rises at most by the stall rule's slack
-    and the gradient norm at least halves; otherwise, and after a refused
-    Newton step until the gradient norm falls tenfold, the step is
-    Barzilai-Borwein with Armijo backtracking, which lowers the energy.
+    ``_NEWTON_SWITCH`` it tries a Newton step on the dense Hessian, kept if
+    the energy rises at most by the stall rule's slack and the gradient norm
+    at least halves; otherwise, and after a refused Newton step until the
+    gradient norm falls tenfold, the step is Barzilai-Borwein with Armijo
+    backtracking, which lowers the energy.
     Each trial point is retracted onto the chart before its energy is taken,
     and the gradient at the accepted trial reuses that energy's pair data.
 
@@ -594,14 +573,12 @@ def descend(target: TargetSet, params: np.ndarray, budget: int,
     if bad.any():  # NaN fails Armijo until "stationary"
         raise FloatingPointError(f"descent start is not finite: energy {float(energy[bad][0])!r}")
     count = len(x)
-    dim = x.shape[1] // 3 * 2 if isinstance(target, Sphere) else x.shape[1]
-    newton = dim <= _NEWTON_MAX_DIM
     traces = [None] * count
     if trace is not None:
         traces = [trace] if one else [[] for _ in range(count)]
         if not one:
             trace.extend(traces)
-    live = [_Row(k, e, g2, _NEWTON_SWITCH if newton else 0.0, traces[k])
+    live = [_Row(k, e, g2, traces[k])
             for k, (e, g2) in enumerate(zip(energy.tolist(), _row_dots(grad, grad)))]
     result = (np.empty_like(x), np.empty(count), np.zeros(count, dtype=int),
               np.zeros(count, dtype=bool), np.zeros(count, dtype=int))
@@ -616,7 +593,7 @@ def descend(target: TargetSet, params: np.ndarray, budget: int,
             row.data = (pairs, parts, i)
     while live:
         # the rows due a Newton trial hold the pair data they need: drop the
-        # rest before this round's energy call (tens of MB at MAX_POINTS)
+        # rest before this round's energy call (tens of MB in a 64-restart chunk)
         pairs = parts = trial_pairs = new_pairs = new_parts = None
         if ended:
             for i, converged in ended:
@@ -711,7 +688,7 @@ def _check_arguments(n: int, budget: int, restarts: int) -> None:
         raise ValueError("need at least two points")
     if n > MAX_POINTS:
         raise ArithmeticError(f"{n} points exceed the {MAX_POINTS}-point bound "
-                              f"(the pair arrays grow as N^2)")
+                              f"(the bound keeps a default descent to a few seconds)")
     if budget < 1:
         raise ValueError("budget must be positive")
     if restarts < 1:

@@ -289,4 +289,6 @@ def run_suite(suite: str, seed: int = 0, corpus_size: int = 10000) -> list[Check
     if unknown:
         raise ValueError(f"unknown suite {unknown[0]!r}; "
                          f"choose from all, {', '.join(SUITES)}")
+    if corpus_size < 1:
+        raise ValueError(f"corpus_size must be at least 1, got {corpus_size}")
     return [check(seed, corpus_size) for name in names for check in SUITES[name]]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from arakelov import verification
 from arakelov.cli import main
 from arakelov.fekete import MAX_POINTS
 from arakelov.polynomials import (PrimitivePolynomial, discriminant,
@@ -433,6 +434,19 @@ class TestVerifyCommand:
             main(["verify", "--suite", "nonsense"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("suite, size", [("heights", "0"), ("bounds", "-1")])
+    def test_corpus_size_below_one_exits_2_before_any_check(self, capsys, monkeypatch,
+                                                              suite, size):
+        # a check that runs fails the test
+        monkeypatch.setattr(verification, "SUITES", {
+            name: tuple(pytest.fail for _ in checks)
+            for name, checks in verification.SUITES.items()})
+        code = main(["verify", "--suite", suite, "--corpus-size", size])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: corpus_size must be at least 1, got {size}\n"
+
     def test_repeated_runs_byte_identical(self):
         cmd = [sys.executable, "-m", "arakelov", "verify", "--suite", "bounds",
                "--seed", "0"]
@@ -497,6 +511,18 @@ class TestFormatMatrix:
             main(argv)
         assert err.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["height", "--poly", "x^2 - 2"],
+        ["fekete", "--real-line", "--n", "4"],
+        ["measure", "--sphere", "--energy"],
+        ["bounds", "--places", "inf"],
+    ], ids=" ".join)
+    def test_negative_digits_exit_2_by_name(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--digits", "-1"])
+        assert err.value.code == 2
+        assert "argument --digits: must be at least 0, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["bounds", "--places", "inf", "--tol", "1"],
